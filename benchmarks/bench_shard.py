@@ -5,7 +5,7 @@ executors on one schedule, the sharded path in memory and streaming
 through ``.npy`` memmaps, checks the NUMA cost model still reproduces
 its pinned thread-vs-process crossover, and gates on shard
 **bit-identity** (the sharded and process results must equal the
-sequential interpreter exactly).  Writes
+sequential plan exactly).  Writes
 ``benchmarks/out/BENCH_shard.json``.
 
 Run directly::
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = []
     if not process_identical:
-        failed.append("process result diverged from the interpreter")
+        failed.append("process result diverged from the sequential plan")
     if not shard_trivial_identical:
         failed.append("trivial shard geometry diverged from apa_matmul")
     if not stream_identical:

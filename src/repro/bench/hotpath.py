@@ -4,16 +4,17 @@ Quantifies what the plan-and-arena engine (:mod:`repro.core.plan`) buys
 on the workload the ROADMAP cares about — thousands of identically
 shaped products:
 
-- repeated ``apa_matmul`` calls on one shape, cold (partition +
-  coefficient evaluation + buffer allocation rebuilt every call, the
-  pre-plan behavior) vs warm (one cached plan, pooled arenas);
+- repeated ``apa_matmul`` calls on one shape, cold (an uncached plan
+  per call: partition + coefficient evaluation + term lists + buffer
+  allocation rebuilt every time) vs warm (one cached plan, pooled
+  arenas);
 - a short MLP train step (forward + backward through APA-backed Dense
   layers) under the same two regimes.
 
-Numerics are asserted identical (the plan path is bit-for-bit the
-interpreter), so the speedup is pure overhead reclaimed.  Since the
+Numerics are asserted identical (cold and warm run the same plan
+arithmetic), so the speedup is pure overhead reclaimed.  Since the
 ExecutionEngine refactor the bench also measures the *dispatch* cost of
-the public shim vs the engine-private interpreter entry
+the public shim vs the engine-private sequential entry
 (:func:`measure_engine_overhead`, paired-median like the obs gate) and
 ``benchmarks/bench_hotpath.py`` gates it below 2%.  Run through
 ``python -m repro hotpath`` or ``benchmarks/bench_hotpath.py`` (which
@@ -108,7 +109,7 @@ def measure_engine_overhead(
 
     Times the public ``apa_matmul`` shim (which routes through the
     :class:`~repro.core.engine.ExecutionEngine` fast lane) against the
-    engine-private interpreter entry on the *same* warm plan path, as
+    engine-private sequential entry on the *same* warm plan path, as
     interleaved rounds of ``iters`` calls each; returns the median of
     per-round ``shim/direct`` ratios minus one (the paired-median
     estimator the obs-overhead gate uses, robust to drift).  Gated
@@ -188,10 +189,10 @@ def run_hotpath(
 ) -> HotpathResult:
     """Measure cold vs plan-cached throughput on one configuration.
 
-    The cold loop reproduces the pre-plan per-call cost exactly: it runs
-    with ``plan_cache=False`` *and* drops the algorithm's memoized
-    coefficient evaluation before every call.  The warm loop uses a
-    private primed :class:`~repro.core.plan.PlanCache`.
+    The cold loop pays the full per-call build: it runs with
+    ``plan_cache=False`` (an uncached plan per call) *and* drops the
+    algorithm's memoized coefficient evaluation before every call.  The
+    warm loop uses a private primed :class:`~repro.core.plan.PlanCache`.
     """
     from repro.algorithms.catalog import get_algorithm
     from repro.nn.losses import SoftmaxCrossEntropy
@@ -211,13 +212,13 @@ def run_hotpath(
     def warm_call():
         return apa_matmul(A, B, alg, steps=steps, plan_cache=cache)
 
-    # Numerics gate first: plan-cached result must match the interpreter.
+    # Numerics gate first: the cached plan must match the uncached one.
     reference = cold_call()
     planned = warm_call()
     max_abs_diff = float(np.max(np.abs(reference - planned)))
     if not np.allclose(reference, planned, rtol=1e-6, atol=1e-6):
         raise AssertionError(
-            f"plan-cached result diverged from interpreter "
+            f"plan-cached result diverged from the uncached plan "
             f"(max |diff| = {max_abs_diff:.3e})")
 
     matmul_cold = _best_per_call(cold_call, iters, repeats)
@@ -270,7 +271,7 @@ def format_hotpath(result: HotpathResult) -> str:
     pc = result.plan_cache
     lines.append(
         f"  plans: {pc.get('size', 0)} cached, {pc.get('hits', 0)} hits / "
-        f"{pc.get('misses', 0)} misses; max |diff| vs interpreter "
+        f"{pc.get('misses', 0)} misses; max |diff| vs uncached "
         f"{result.max_abs_diff:.2e}")
     lines.append(
         f"  engine dispatch {result.engine_overhead * 100:+.2f}% "

@@ -3,7 +3,7 @@
 Also home of :class:`KernelArena`, the pooled-buffer companion the
 generated kernels accept: ``fn(A, B, arena=arena)`` reuses the padded
 staging buffers and the padded output across calls — the generated
-kernel's analog of the interpreter-side workspace arenas in
+kernel's analog of the plan workspace arenas in
 :mod:`repro.core.plan`.
 """
 

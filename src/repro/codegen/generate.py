@@ -11,7 +11,7 @@ The generated function mirrors what the paper's framework emits in C++:
 
 Fractions are emitted as exact ratios (``(1/4)``) so the generated module
 is readable and reproducible; coefficient arithmetic happens in the
-operands' dtype at runtime, identical to the interpreter.
+operands' dtype at runtime, identical to the plan evaluator.
 """
 
 from __future__ import annotations

@@ -1,25 +1,12 @@
-"""Generic recursive executor for bilinear (APA and exact) algorithms.
+"""Sequential entry point for bilinear (APA and exact) algorithms.
 
-This is the runtime counterpart of the paper's code-generation framework
-(§3.2): given an algorithm's numeric coefficient matrices ``(U, V, W)``
-evaluated at a concrete ``lambda``, one recursive step computes
-
-    S_i = sum_p U[p, i] * A_p        (linear combinations of A blocks)
-    T_i = sum_s V[s, i] * B_s        (linear combinations of B blocks)
-    M_i = S_i @ T_i                  (gemm, or recursion)
-    C_q = sum_i W[q, i] * M_i        (output combinations)
-
-Implementation follows the "write-once" strategy the paper found most
-memory-efficient: each ``S_i``/``T_i`` is materialized exactly once (the
-first term initializes the buffer via ``np.multiply(..., out=...)``,
-subsequent terms accumulate in place), and output blocks are accumulated
-in place into views of the padded result, so no block is written twice
-before being complete.  Single-term combinations with coefficient 1 are
-passed to gemm as *views* — no copy at all.
-
-Operands of any shape are supported through zero-padding to the next
-multiple of the rule dims per recursion level (see
-:mod:`repro.linalg.blocking`); the result is cropped back.
+:func:`apa_matmul` multiplies with a catalogued rule: it validates the
+operands, routes surrogates to their error model, picks the default
+``lambda``, and runs an :class:`~repro.core.plan.ExecutionPlan` — the
+single evaluator of the paper's §3.2 write-once S/T/M/C schedule (see
+:mod:`repro.core.plan`).  Operands of any shape are supported through
+zero-padding to the next multiple of the rule dims per recursion level;
+the result is cropped back.
 """
 
 from __future__ import annotations
@@ -28,59 +15,12 @@ import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
 from repro.core.engine import default_engine
-from repro.linalg.blocking import BlockPartition, split_blocks
 from repro.types import GemmFn
 
-__all__ = ["apa_matmul", "apa_matmul_nonstationary", "linear_combination"]
+__all__ = ["apa_matmul", "apa_matmul_nonstationary"]
 
 #: The process-wide engine; bound once — it is never replaced.
 _ENGINE = default_engine()
-
-
-def linear_combination(
-    blocks: list[np.ndarray],
-    coeffs: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Write-once linear combination ``sum_j coeffs[j] * blocks[j]``.
-
-    Zero coefficients are skipped.  When the combination is a single block
-    with coefficient 1 and no ``out`` buffer is supplied, the block itself
-    (a view) is returned — callers must treat the result as read-only.
-    """
-    terms = [(c, blk) for c, blk in zip(coeffs, blocks) if c != 0]
-    if not terms:
-        if out is None:
-            return np.zeros_like(blocks[0])
-        out[...] = 0
-        return out
-    if out is None:
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        out = np.empty_like(blocks[0])
-    first_c, first_b = terms[0]
-    if first_c == 1:
-        np.copyto(out, first_b)
-    else:
-        np.multiply(first_b, first_c, out=out)
-    buf = None
-    for c, blk in terms[1:]:
-        if c == 1:
-            out += blk
-        elif c == -1:
-            out -= blk
-        else:
-            # out += c * blk without allocating a fresh temporary each term
-            if buf is None:
-                buf = np.empty_like(out)
-            np.multiply(blk, c, out=buf)
-            out += buf
-    return out
-
-
-def _flatten_blocks(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
-    grid = split_blocks(X, rows, cols)
-    return [grid[i][j] for i in range(rows) for j in range(cols)]
 
 
 def apa_matmul(
@@ -96,8 +36,7 @@ def apa_matmul(
     """Multiply ``A @ B`` with a catalogued algorithm.
 
     A thin shim over :meth:`repro.core.engine.ExecutionEngine.sequential`
-    — the engine owns tracing and dispatch (plan fast path vs per-call
-    interpreter), and an active
+    — the engine owns tracing and dispatch to the plan, and an active
     :func:`~repro.core.config.execution_context` supplies any parameter
     left unset here.  Results are bit-identical to the pre-engine entry
     point (``tests/test_engine.py`` pins it).
@@ -105,9 +44,11 @@ def apa_matmul(
     Parameters
     ----------
     A, B:
-        2-D arrays with compatible inner dimension (any float dtype; both
-        are used as-is, so pass float32 for the paper's single-precision
-        setting).
+        2-D arrays with compatible inner dimension.  Matching float
+        operands are used as-is (pass float32 for the paper's
+        single-precision setting); mixed float dtypes are promoted to
+        ``np.result_type(A, B)`` and integer operands computed in
+        float64.
     algorithm:
         An :class:`~repro.algorithms.spec.AlgorithmLike` or catalog name.
         Surrogates are dispatched to
@@ -126,18 +67,18 @@ def apa_matmul(
         Precision bits used for the default ``lam``; inferred from the
         operand dtype when omitted.
     plan_cache:
-        ``None`` (default) routes eligible calls through the process-wide
+        ``None`` (default) takes plans from the process-wide
         :class:`~repro.core.plan.PlanCache` — repeated identical
         ``(algorithm, shape, dtype, lam, steps)`` calls then reuse one
         precomputed :class:`~repro.core.plan.ExecutionPlan` and its
         pooled workspace arena.  Pass a :class:`PlanCache` to use a
-        private cache, or ``False`` to force the per-call interpreter
-        (the pre-plan behavior).  Both paths are bit-identical.
+        private cache, or ``False`` to build an uncached plan for this
+        call alone.  All three are bit-identical.
 
     Returns
     -------
-    The ``(A.shape[0], B.shape[1])`` product array, same dtype as the
-    promoted operand dtype.
+    The ``(A.shape[0], B.shape[1])`` product array in the promoted
+    operand dtype (float64 for integer operands).
     """
     return _ENGINE.sequential(A, B, algorithm, lam, steps, gemm, d,
                               plan_cache)
@@ -168,77 +109,17 @@ def _apa_matmul_impl(
         return surrogate_matmul(A, B, algorithm, lam=lam, steps=steps, d=d)
 
     from repro.core.lam import optimal_lambda, precision_bits
+    from repro.core.plan import acquire_plan, plannable
 
+    A, B = plannable(A, B)
     if lam is None:
         if d is None:
-            dtype = np.result_type(A.dtype, B.dtype)
-            d = precision_bits(dtype) if dtype.kind == "f" else 52
+            d = precision_bits(A.dtype) if A.dtype.kind == "f" else 52
         lam = optimal_lambda(algorithm, d=d, steps=steps)
 
-    # Plan fast path: same arithmetic, but partition/coefficients/buffers
-    # come from a cached ExecutionPlan instead of being rebuilt per call.
-    # Restricted to matching float operands so the combination dtypes are
-    # exactly the interpreter's; everything else falls through below.
-    from repro.core.plan import resolve_plan_cache
-
-    cache = resolve_plan_cache(plan_cache)
-    if cache is not None and A.dtype == B.dtype and A.dtype.kind == "f":
-        plan = cache.plan_for(
-            algorithm, A.shape[0], A.shape[1], B.shape[1],
-            A.dtype, lam, steps=steps,
-        )
-        return plan.execute(A, B, gemm=gemm)
-
-    if gemm is None:
-        gemm = np.matmul
-
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
-    plan = BlockPartition(
-        m, n, k, rows_a=A.shape[0], cols_a=A.shape[1], cols_b=B.shape[1], steps=steps
-    )
-    Ap, Bp = plan.prepare(A, B)
-
-    dtype = np.result_type(Ap.dtype, Bp.dtype)
-    Un, Vn, Wn = algorithm.evaluate(lam, dtype=dtype)
-    r = algorithm.rank
-
-    def recurse(Ab: np.ndarray, Bb: np.ndarray, level: int) -> np.ndarray:
-        if level == 0:
-            return gemm(Ab, Bb)
-        a_blocks = _flatten_blocks(Ab, m, n)
-        b_blocks = _flatten_blocks(Bb, n, k)
-        C = np.zeros((Ab.shape[0] // m * m, Bb.shape[1] // k * k), dtype=dtype)
-        c_blocks = _flatten_blocks(C, m, k)
-        initialized = [False] * len(c_blocks)
-        buf = None
-        for i in range(r):
-            S = linear_combination(a_blocks, Un[:, i])
-            T = linear_combination(b_blocks, Vn[:, i])
-            M = recurse(S, T, level - 1)
-            for q in range(len(c_blocks)):
-                w = Wn[q, i]
-                if w == 0:
-                    continue
-                target = c_blocks[q]
-                if not initialized[q]:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized[q] = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    if buf is None:
-                        buf = np.empty_like(target)
-                    np.multiply(M, w, out=buf)
-                    target += buf
-        return C
-
-    C_padded = recurse(Ap, Bp, steps)
-    return np.ascontiguousarray(plan.crop(C_padded))
+    plan = acquire_plan(plan_cache, algorithm, A.shape[0], A.shape[1],
+                        B.shape[1], A.dtype, lam, steps=steps)
+    return plan.execute(A, B, gemm=gemm)
 
 
 def apa_matmul_nonstationary(
@@ -267,7 +148,7 @@ def apa_matmul_nonstationary(
     A shim over :meth:`repro.core.engine.ExecutionEngine.nonstationary`,
     which closed this entry point's historical feature gaps: every level
     now resolves ``plan_cache`` consistently (``None`` process default /
-    ``False`` interpreter / private :class:`~repro.core.plan.PlanCache`),
+    ``False`` uncached plans / private :class:`~repro.core.plan.PlanCache`),
     ``threads > 1`` runs the *outer* level on the §3.2 threaded executor
     (``strategy`` selects its schedule), and ``guarded=True`` wraps the
     whole recursion in the

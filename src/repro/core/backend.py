@@ -99,7 +99,7 @@ class APABackend:
         Forwarded to :func:`apa_matmul`: ``None`` (default) shares the
         process-wide :class:`~repro.core.plan.PlanCache` — a training
         loop's repeated layer shapes then hit warm plans — ``False``
-        forces the per-call interpreter, and a ``PlanCache`` instance
+        builds an uncached plan per call, and a ``PlanCache`` instance
         scopes the plans to this backend.
     """
 

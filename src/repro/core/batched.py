@@ -12,9 +12,10 @@ products* rather than one large one.  Two execution modes:
   combination overhead across the batch, which is what makes fast
   algorithms viable for *small* per-item dims.
 
-Both produce identical arithmetic per item (the stacked mode just
-reorders the batch loop inside each operation), so results agree to
-roundoff; the tests pin that.
+Stacked mode runs the same :func:`~repro.core.plan.combine` and
+:func:`~repro.core.plan.accumulate` as the 2-D paths over 3-D block
+views, so each item's result is bit-identical to the 2-D product; the
+tests pin that.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
 from repro.core.engine import default_engine
-from repro.linalg.blocking import required_padding
 
 __all__ = ["apa_matmul_batched"]
 
@@ -54,7 +54,7 @@ def apa_matmul_batched(
     Stacked mode shares the cached :class:`~repro.core.plan.ExecutionPlan`
     machinery for its padded dims, coefficients, and nonzero term lists
     (the batch axis is per-call, so no workspace arena is pooled);
-    ``plan_cache=False`` rebuilds everything per call.
+    ``plan_cache=False`` builds an uncached plan per call.
     """
     return _ENGINE.batched(A, B, algorithm, lam=lam, batch_mode=mode,
                            d=d, plan_cache=plan_cache)
@@ -84,6 +84,8 @@ def _batched_matmul_impl(
         raise ValueError("mode must be 'loop' or 'stacked'")
 
     from repro.core.apa_matmul import apa_matmul
+    from repro.core.plan import (accumulate, acquire_plan, block_views,
+                                 combine, plannable)
 
     batch, M, N = A.shape
     K = B.shape[2]
@@ -99,81 +101,28 @@ def _batched_matmul_impl(
 
     from repro.core.lam import optimal_lambda, precision_bits
 
-    dtype = np.result_type(A.dtype, B.dtype)
+    A, B = plannable(A, B)
+    dtype = A.dtype
     if lam is None:
         if d is None:
             d = precision_bits(dtype) if dtype.kind == "f" else 52
         lam = optimal_lambda(algorithm, d=d)
 
     m, n, k = algorithm.m, algorithm.n, algorithm.k
-
-    from repro.core.plan import resolve_plan_cache, term_lists
-
-    cache = resolve_plan_cache(plan_cache)
-    if cache is not None and A.dtype == B.dtype and A.dtype.kind == "f":
-        plan = cache.plan_for(algorithm, M, N, K, A.dtype, lam,
-                              mode="batched")
-        part = plan.partition
-        Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
-                      part.padded_cols_b)
-        s_terms, t_terms, w_terms = plan.s_terms, plan.t_terms, plan.w_terms
-    else:
-        Mp, Np, Kp = (required_padding(M, m), required_padding(N, n),
-                      required_padding(K, k))
-        s_terms, t_terms, w_terms = term_lists(
-            *algorithm.evaluate(lam, dtype=dtype))
-
+    plan = acquire_plan(plan_cache, algorithm, M, N, K, dtype, lam,
+                        mode="batched")
+    part = plan.partition
+    Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
+                  part.padded_cols_b)
     Ap = np.zeros((batch, Mp, Np), dtype=dtype)
     Ap[:, :M, :N] = A
     Bp = np.zeros((batch, Np, Kp), dtype=dtype)
     Bp[:, :N, :K] = B
-    bm, bn, bk = Mp // m, Np // n, Kp // k
-
-    a_blocks = [Ap[:, i * bm:(i + 1) * bm, j * bn:(j + 1) * bn]
-                for i in range(m) for j in range(n)]
-    b_blocks = [Bp[:, i * bn:(i + 1) * bn, j * bk:(j + 1) * bk]
-                for i in range(n) for j in range(k)]
-
-    C = np.zeros((batch, Mp, Kp), dtype=dtype)
-    c_blocks = [C[:, i * bm:(i + 1) * bm, j * bk:(j + 1) * bk]
-                for i in range(m) for j in range(k)]
-    initialized = [False] * len(c_blocks)
-
-    def combine(blocks: list[np.ndarray], terms) -> np.ndarray:
-        if not terms:
-            return np.zeros_like(blocks[0])
-        idx0, c0 = terms[0]
-        # copy lazily only if we will accumulate
-        out = blocks[idx0] if c0 == 1 else c0 * blocks[idx0]
-        for idx, c in terms[1:]:
-            blk = blocks[idx]
-            if out.base is not None or out is blk:
-                out = out.copy()
-            if c == 1:
-                out += blk
-            elif c == -1:
-                out -= blk
-            else:
-                out += c * blk
-        return out
-
-    for t in range(algorithm.rank):
-        S = combine(a_blocks, s_terms[t])
-        T = combine(b_blocks, t_terms[t])
-        P = np.matmul(S, T)  # batched gemm over the leading axis
-        for q, w in w_terms[t]:
-            target = c_blocks[q]
-            if not initialized[q]:
-                if w == 1:
-                    target[...] = P
-                else:
-                    np.multiply(P, w, out=target)
-                initialized[q] = True
-            elif w == 1:
-                target += P
-            elif w == -1:
-                target -= P
-            else:
-                target += w * P
-
+    a_blocks = block_views(Ap, m, n)
+    b_blocks = block_views(Bp, n, k)
+    C = np.empty((batch, Mp, Kp), dtype=dtype)
+    # One batched gemm over the leading axis per multiplication.
+    accumulate(plan.w_terms, (
+        np.matmul(combine(s, a_blocks), combine(t, b_blocks))
+        for s, t in zip(plan.s_terms, plan.t_terms)), block_views(C, m, k))
     return np.ascontiguousarray(C[:, :M, :K])

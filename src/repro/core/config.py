@@ -11,7 +11,7 @@ This module holds the value object those layers share:
   policy ``d``, base-case ``gemm``, threading (``threads`` /
   ``strategy`` / ``schedule``), ``plan_cache``, guard policy, fault
   spec, per-job ``retries`` / ``timeout``, the dispatch ``mode``
-  (interpreter vs plan vs kernel vs threaded), the worker ``executor``
+  (auto vs kernel vs threaded), the worker ``executor``
   and out-of-core ``shard`` geometry, and the ``tuned`` opt-in to the
   learned dispatch table (:mod:`repro.tune`).
 - :func:`execution_context` — a process-wide context manager layering
@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 #: Dispatch modes the engine understands.  ``auto`` (the resolved
-#: default) picks plan/interpreter/threaded from the other fields;
-#: the rest force one path and reject contradictory knobs.
-EXECUTION_MODES = ("auto", "interpreter", "plan", "kernel", "threaded")
+#: default) picks the sequential plan or the threaded executor from the
+#: other fields; the rest force one path and reject contradictory knobs.
+EXECUTION_MODES = ("auto", "kernel", "threaded")
 
 #: Batched execution modes (``apa_matmul_batched``).
 BATCH_MODES = ("stacked", "loop")
@@ -136,8 +136,8 @@ class ExecutionConfig:
     strategy: str | None = None
     #: Pre-built :class:`repro.parallel.strategy.Schedule` override.
     schedule: Any = None
-    #: ``None`` = process default cache, ``False`` = per-call
-    #: interpreter, or a private :class:`repro.core.plan.PlanCache`.
+    #: ``None`` = process default cache, ``False`` = uncached plans
+    #: built per call, or a private :class:`repro.core.plan.PlanCache`.
     plan_cache: Any = None
     #: One of :data:`EXECUTION_MODES` (resolved default ``"auto"``).
     mode: str | None = None
@@ -204,6 +204,12 @@ class ExecutionConfig:
             raise ValueError(f"min_dim must be >= 0, got {self.min_dim!r}")
         if self.d is not None and self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
+        if self.mode in ("interpreter", "plan"):
+            raise ValueError(
+                f"mode={self.mode!r} was removed: every product runs "
+                "through an ExecutionPlan.  Use plan_cache=False for an "
+                "uncached plan, or mode='auto' (the default) for the "
+                "cached one")
         if self.mode is not None and self.mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of "
@@ -256,8 +262,7 @@ class ExecutionConfig:
             if self.threads is not None and self.threads > 1:
                 raise ValueError(
                     "mode='kernel' is single-threaded; use mode='threaded' "
-                    "with an interpreter path for threads > 1")
-        if mode in ("interpreter", "plan", "kernel"):
+                    "for threads > 1")
             for knob, label in (
                 (self.schedule, "schedule"),
                 (self.retries, "retries"),
@@ -268,29 +273,11 @@ class ExecutionConfig:
                     raise ValueError(
                         f"{label!r} only applies to the threaded executor; "
                         f"it cannot combine with mode={mode!r}")
-        if mode == "interpreter":
-            if self.threads is not None and self.threads > 1:
-                raise ValueError(
-                    "mode='interpreter' is the sequential per-call path; "
-                    "threads > 1 requires mode='auto' or 'threaded'")
-            if self.plan_cache not in (None, False):
-                raise ValueError(
-                    "mode='interpreter' bypasses plan caching; drop the "
-                    "plan_cache or use mode='plan'")
-        if mode == "plan":
-            if self.plan_cache is False:
-                raise ValueError(
-                    "mode='plan' requires a plan cache; plan_cache=False "
-                    "forces the interpreter")
-            if self.threads is not None and self.threads > 1:
-                raise ValueError(
-                    "mode='plan' is the sequential cached path; threads > 1 "
-                    "requires mode='auto' or 'threaded'")
         if self.executor == "process":
-            if mode in ("interpreter", "plan", "kernel"):
+            if mode == "kernel":
                 raise ValueError(
-                    f"executor='process' runs the scheduled executor; it "
-                    f"cannot combine with mode={mode!r}")
+                    "executor='process' runs the scheduled executor; it "
+                    "cannot combine with mode='kernel'")
             if self.gemm is not None or self.fault is not None:
                 raise ValueError(
                     "executor='process' runs gemms in worker processes; "

@@ -16,14 +16,15 @@ stack::
       ↓
     trace    one "apa_matmul" span when a tracer is on (obs layer)
       ↓
-    dispatch → plan | kernel | threaded | process | shard | interpreter
-               | batched | non-stationary | surrogate | classical gemm
+    dispatch → plan | kernel | threaded | process | shard | batched
+               | non-stationary | surrogate | classical gemm
                (``tuned=True`` first fills unset algorithm/steps/executor
                from the learned dispatch table — :mod:`repro.tune`)
 
 The legacy entry points are now thin shims over this engine; the
 private implementations (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
-``_batched_matmul_impl``) may only be called from this module — the
+``_batched_matmul_impl``, ``_process_matmul_impl``,
+``_shard_matmul_impl``) may only be called from this module — the
 staticcheck rule ENG001 machine-enforces that, so new execution modes
 plug in here once instead of into every caller.
 
@@ -111,7 +112,7 @@ def _run_sequential(
     d: int | None,
     plan_cache: Any,
 ) -> np.ndarray:
-    """Trace layer + sequential dispatch (plan fast path or interpreter).
+    """Trace layer + sequential dispatch to a (cached or uncached) plan.
 
     This is the pre-refactor body of ``apa_matmul``: when a tracer is
     active the whole call becomes one span (the plan's execute span
@@ -131,19 +132,6 @@ def _run_sequential(
         shape=f"{tuple(A.shape)}@{tuple(B.shape)}", steps=steps,
     ):
         return impl(A, B, algorithm, lam, steps, gemm, d, plan_cache)
-
-
-def _require_plan_eligible(A: np.ndarray, B: np.ndarray, alg: Any) -> None:
-    """``mode='plan'`` forces the cached path; reject what it can't run."""
-    if getattr(alg, "is_surrogate", False):
-        raise ValueError(
-            "mode='plan' cannot execute surrogate algorithms (no "
-            "coefficients to plan)")
-    if A.dtype != B.dtype or A.dtype.kind != "f":
-        raise ValueError(
-            "mode='plan' requires matching float operand dtypes "
-            f"(got {A.dtype} @ {B.dtype}); use mode='auto' to fall "
-            "through to the interpreter")
 
 
 class EngineBackend:
@@ -389,7 +377,7 @@ class ExecutionEngine:
                    lam: float | None = None, steps: int | None = None,
                    gemm: GemmFn | None = None, d: int | None = None,
                    plan_cache: Any = None) -> np.ndarray:
-        """``apa_matmul`` entry: sequential plan/interpreter dispatch."""
+        """``apa_matmul`` entry: sequential plan dispatch."""
         if active_overrides() is None and not self._configured:
             return _run_sequential(
                 A, B, _resolve_algorithm(algorithm), lam,
@@ -571,13 +559,8 @@ class ExecutionEngine:
                 gemm=gemm, steps=steps, retries=cfg.retries or 0,
                 timeout=cfg.timeout, check_finite=bool(cfg.check_finite),
                 report=report, plan_cache=cfg.plan_cache)
-        plan_cache = cfg.plan_cache
-        if mode == "interpreter":
-            plan_cache = False
-        elif mode == "plan":
-            _require_plan_eligible(A, B, alg)
         return _run_sequential(A, B, alg, cfg.lam, steps, gemm, cfg.d,
-                               plan_cache)
+                               cfg.plan_cache)
 
     # -- dispatch targets ----------------------------------------------
 
@@ -666,8 +649,7 @@ class ExecutionEngine:
         if cfg.mode not in (None, "auto", "threaded"):
             raise ValueError(
                 f"mode={cfg.mode!r} does not apply to non-stationary "
-                "execution (pass plan_cache=False for the per-call "
-                "interpreter)")
+                "execution (pass plan_cache=False for uncached plans)")
         if (cfg.executor or "thread") == "process":
             raise ValueError(
                 "non-stationary execution threads a per-level gemm "

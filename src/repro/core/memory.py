@@ -12,7 +12,7 @@ recursion level):
 - padded copies of ``A`` and ``B`` when shapes are ragged;
 - per multiplication, at most one ``S`` buffer, one ``T`` buffer and the
   ``M_i`` product live at once (plus a scalar-scratch buffer), since the
-  interpreter streams multiplications one at a time;
+  sequential plan streams multiplications one at a time;
 - the padded output ``C``.
 
 The threaded executor keeps all ``r`` products alive (they are combined
@@ -64,7 +64,7 @@ def workspace_bytes(
     """Peak workspace of one fast multiplication.
 
     ``parallel=True`` models the threaded executor (all ``r`` products
-    held simultaneously); otherwise the streaming interpreter.
+    held simultaneously); otherwise the streaming sequential plan.
     Multi-step recursion adds the geometric tail of per-level buffers
     (dominated by the first level).
     """

@@ -1,17 +1,29 @@
-"""Cached execution plans and pooled workspace arenas (the hot-path engine).
+"""The bilinear evaluator: cached execution plans and pooled arenas.
 
-The interpreter in :mod:`repro.core.apa_matmul` is correct but pays per
-call for work that depends only on ``(algorithm, shape, dtype, lambda,
-steps)``: building the :class:`~repro.linalg.blocking.BlockPartition`,
-evaluating the Laurent coefficients at ``lambda``, scanning their zero
-patterns, and allocating every ``S``/``T``/``M``/``C`` buffer.  A
-training loop issues thousands of calls with the *same* key per epoch
-(each Dense layer's forward and two backward products have fixed
-shapes), so an :class:`ExecutionPlan` precomputes all of it once:
+This module is the only code that does ``<U, V, W>`` arithmetic.  One
+recursive step of a rule evaluated at a concrete ``lambda`` computes
+(paper §3.2)::
 
-- the block partition and padded dims;
-- the numeric ``(Un, Vn, Wn)`` (via the spec's memoized ``evaluate``);
-- per-multiplication nonzero term lists (no per-call zero scans);
+    S_i = sum_p U[p, i] * A_p        (combine)
+    T_i = sum_s V[s, i] * B_s        (combine)
+    M_i = S_i @ T_i                  (gemm, or the next level)
+    C_q = sum_i W[q, i] * M_i        (accumulate)
+
+with the "write-once" strategy the paper found most memory-efficient:
+each ``S_i``/``T_i`` is materialized exactly once (the first term
+initializes the buffer, later terms accumulate in place), output blocks
+accumulate in place, and a single-block combination with coefficient 1
+is passed on as a *view*.  :func:`combine` and :func:`accumulate` work
+on 2-D blocks and on 3-D batched blocks (a leading batch axis passes
+through every operation).
+
+An :class:`ExecutionPlan` precomputes everything that depends only on
+``(algorithm, shape, dtype, lambda, steps)``:
+
+- the block partition and padded dims (ragged operands are zero-padded
+  to the next multiple of the rule dims per level, the result cropped);
+- the numeric ``(Un, Vn, Wn)`` (via the spec's memoized ``evaluate``)
+  and per-multiplication nonzero term lists;
 - a pooled workspace *arena* — padded operand copies, per-level
   ``S_i``/``T_i`` combination buffers, the gemm output slot, scalar
   scratch, and the padded ``C`` — matching the footprint priced by
@@ -20,14 +32,10 @@ shapes), so an :class:`ExecutionPlan` precomputes all of it once:
 Workspaces are checked out per call from a small free list, so one plan
 serves concurrent callers (the threaded executor's workers recurse into
 sequential plans) without aliasing.  Plans are acquired through a
-bounded, thread-safe LRU :class:`PlanCache`; the process-wide default
-cache is what :func:`repro.core.apa_matmul.apa_matmul` and friends use
-unless told otherwise.
-
-Arithmetic is bit-identical to the interpreter: the same write-once
-combination order, the same accumulation order of products into output
-blocks, the same dtype per operation — only the allocations and the
-bookkeeping moved out of the loop.
+bounded, thread-safe LRU :class:`PlanCache`; :func:`acquire_plan` builds
+a one-off uncached plan when caching is off (``plan_cache=False``).  The
+sequential, threaded, process and batched-stacked runners only schedule
+a plan's combinations and products; none of them repeats the arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
 from repro.core.memory import WorkspaceEstimate, workspace_bytes
-from repro.linalg.blocking import BlockPartition, split_blocks
+from repro.linalg.blocking import BlockPartition
 from repro.obs import tracer as _obs_tracer
 from repro.robustness.events import EventLog
 from repro.types import GemmFn
@@ -53,6 +61,11 @@ __all__ = [
     "configure_plan_cache",
     "resolve_plan_cache",
     "term_lists",
+    "block_views",
+    "combine",
+    "accumulate",
+    "plannable",
+    "acquire_plan",
 ]
 
 #: Execution modes a plan can be built for.
@@ -109,9 +122,115 @@ def term_lists(
     return s_terms, t_terms, w_terms
 
 
-def _flatten(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
-    grid = split_blocks(X, rows, cols)
-    return [grid[i][j] for i in range(rows) for j in range(cols)]
+def block_views(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
+    """Row-major ``rows x cols`` grid of views over ``X``'s last two axes.
+
+    A leading batch axis passes through, so the same term lists index
+    2-D blocks and 3-D batched blocks alike.
+    """
+    br, bc = X.shape[-2] // rows, X.shape[-1] // cols
+    return [X[..., i * br:(i + 1) * br, j * bc:(j + 1) * bc]
+            for i in range(rows) for j in range(cols)]
+
+
+def _scratch(out: np.ndarray, scratch) -> np.ndarray:
+    if scratch is None:
+        return np.empty_like(out)
+    return scratch(out.shape, out.dtype)
+
+
+def combine(terms, blocks: list[np.ndarray], out: np.ndarray | None = None,
+            scratch=None, view: bool = True) -> np.ndarray:
+    """Write-once linear combination ``sum c * blocks[idx]`` of a term list.
+
+    ``terms`` is one entry of a plan's ``s_terms``/``t_terms``.  With
+    ``out=None`` the result is freshly allocated; otherwise it is
+    written into ``out``.  A single coefficient-1 term returns the block
+    itself (a view — treat it as read-only) unless ``view=False``, which
+    inner recursion levels pass because the next level's precomputed
+    block views alias ``out``.  ``scratch(shape, dtype)`` supplies the
+    buffer for non-unit coefficients past the first (allocated once per
+    call when ``None``).
+    """
+    if not terms:
+        if out is None:
+            return np.zeros_like(blocks[0])
+        out[...] = 0
+        return out
+    idx0, c0 = terms[0]
+    if view and len(terms) == 1 and c0 == 1:
+        return blocks[idx0]
+    if out is None:
+        out = np.empty_like(blocks[idx0])
+    if c0 == 1:
+        np.copyto(out, blocks[idx0])
+    else:
+        np.multiply(blocks[idx0], c0, out=out)
+    buf = None
+    for idx, c in terms[1:]:
+        if c == 1:
+            out += blocks[idx]
+        elif c == -1:
+            out -= blocks[idx]
+        else:
+            if buf is None:
+                buf = _scratch(out, scratch)
+            np.multiply(blocks[idx], c, out=buf)
+            out += buf
+    return out
+
+
+def accumulate(w_terms, products, c_blocks: list[np.ndarray],
+               scratch=None) -> None:
+    """Fold the products into output blocks: ``C_q = sum_i W[q, i] * M_i``.
+
+    ``products`` yields ``M_0 .. M_{r-1}`` in order; it may be a
+    generator, so a sequential runner can compute each product into one
+    reused buffer just before it is folded.  Each block is written once
+    by its first product and accumulated in place after that; blocks no
+    product reaches (padded partitions of degenerate rules) are
+    zero-filled, since the output buffer may hold stale arena data.
+    """
+    initialized = [False] * len(c_blocks)
+    buf = None
+    for terms, M in zip(w_terms, products):
+        for q, w in terms:
+            target = c_blocks[q]
+            if not initialized[q]:
+                if w == 1:
+                    np.copyto(target, M)
+                else:
+                    np.multiply(M, w, out=target)
+                initialized[q] = True
+            elif w == 1:
+                target += M
+            elif w == -1:
+                target -= M
+            else:
+                if buf is None:
+                    buf = _scratch(target, scratch)
+                np.multiply(M, w, out=buf)
+                target += buf
+    for q, done in enumerate(initialized):
+        if not done:
+            c_blocks[q][...] = 0
+
+
+def plannable(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cast the operands to the one dtype a plan runs at.
+
+    Mixed inexact dtypes promote to ``np.result_type``; integer and
+    boolean operands compute in float64 (coefficients such as
+    ``lambda**-1`` would otherwise be truncated to the operand dtype).
+    Matching inexact operands pass through uncopied.
+    """
+    dtype = A.dtype
+    if dtype == B.dtype and dtype.kind == "f":
+        return A, B
+    dtype = np.result_type(A.dtype, B.dtype)
+    if dtype.kind not in "fc":
+        dtype = np.dtype(np.float64)
+    return A.astype(dtype, copy=False), B.astype(dtype, copy=False)
 
 
 class _Workspace:
@@ -143,10 +262,10 @@ class _Workspace:
             self.S = self.T = []
             self.P = None
             self.a_blocks = [
-                _flatten(self.Ap, m, n) if self.Ap is not None else None]
+                block_views(self.Ap, m, n) if self.Ap is not None else None]
             self.b_blocks = [
-                _flatten(self.Bp, n, k) if self.Bp is not None else None]
-            self.c_blocks = [_flatten(self.C[0], m, k)]
+                block_views(self.Bp, n, k) if self.Bp is not None else None]
+            self.c_blocks = [block_views(self.C[0], m, k)]
             return
 
         steps = plan.key.steps
@@ -166,13 +285,13 @@ class _Workspace:
         self.a_blocks = [None] * steps
         self.b_blocks = [None] * steps
         if self.Ap is not None:
-            self.a_blocks[0] = _flatten(self.Ap, m, n)
+            self.a_blocks[0] = block_views(self.Ap, m, n)
         if self.Bp is not None:
-            self.b_blocks[0] = _flatten(self.Bp, n, k)
+            self.b_blocks[0] = block_views(self.Bp, n, k)
         for lvl in range(1, steps):
-            self.a_blocks[lvl] = _flatten(self.S[lvl - 1], m, n)
-            self.b_blocks[lvl] = _flatten(self.T[lvl - 1], n, k)
-        self.c_blocks = [_flatten(C, m, k) for C in self.C]
+            self.a_blocks[lvl] = block_views(self.S[lvl - 1], m, n)
+            self.b_blocks[lvl] = block_views(self.T[lvl - 1], n, k)
+        self.c_blocks = [block_views(C, m, k) for C in self.C]
 
     def scratch(self, shape: tuple[int, int], dtype) -> np.ndarray:
         """A reusable scalar-scratch buffer of the given shape."""
@@ -206,11 +325,9 @@ class ExecutionPlan:
                        or self.partition.padded_cols_a != key.cols_a)
         self.pads_b = (self.partition.padded_cols_a != key.cols_a
                        or self.partition.padded_cols_b != key.cols_b)
-        self.Un, self.Vn, self.Wn = algorithm.evaluate(
-            key.lam, dtype=self.dtype)
         self.rank = algorithm.rank
         self.s_terms, self.t_terms, self.w_terms = term_lists(
-            self.Un, self.Vn, self.Wn)
+            *algorithm.evaluate(key.lam, dtype=self.dtype))
         self.schedule = None
         if key.mode == "threaded":
             from repro.parallel.strategy import build_schedule
@@ -261,19 +378,24 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
 
     def stage(self, ws: _Workspace, A: np.ndarray,
-              B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Copy ragged operands into the padded arena (views otherwise)."""
+              B: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Level-0 block views of the operands.
+
+        Ragged operands are copied into the padded arena first; aligned
+        ones are split in place, with no copy.
+        """
+        m, n, k = self.partition.m, self.partition.n, self.partition.k
         if ws.Ap is None:
-            Ap = A
+            a_blocks = block_views(A, m, n)
         else:
             ws.Ap[: self.key.rows_a, : self.key.cols_a] = A
-            Ap = ws.Ap
+            a_blocks = ws.a_blocks[0]
         if ws.Bp is None:
-            Bp = B
+            b_blocks = block_views(B, n, k)
         else:
             ws.Bp[: self.key.cols_a, : self.key.cols_b] = B
-            Bp = ws.Bp
-        return Ap, Bp
+            b_blocks = ws.b_blocks[0]
+        return a_blocks, b_blocks
 
     # ------------------------------------------------------------------
     # sequential execution
@@ -316,95 +438,53 @@ class ExecutionPlan:
                 f"@({self.key.cols_a},{self.key.cols_b})")
         ws = self.checkout()
         try:
-            m, n, k = self.partition.m, self.partition.n, self.partition.k
-            Ap, Bp = self.stage(ws, A, B)
-            a0 = ws.a_blocks[0] if ws.a_blocks[0] is not None \
-                else _flatten(Ap, m, n)
-            b0 = ws.b_blocks[0] if ws.b_blocks[0] is not None \
-                else _flatten(Bp, n, k)
-            C = self._run_level(ws, 0, a0, b0, gemm)
+            a_blocks, b_blocks = self.stage(ws, A, B)
+            C = self._run_level(ws, 0, a_blocks, b_blocks, gemm)
             # Always hand back a fresh array: the arena C is reused by
             # the next call through this plan.
             return np.array(C[: self.key.rows_a, : self.key.cols_b])
         finally:
             self.release(ws)
 
-    def _combine(self, terms, blocks, out: np.ndarray, ws: _Workspace,
-                 allow_view: bool) -> np.ndarray:
-        """Write-once linear combination from a precomputed term list.
-
-        Mirrors :func:`~repro.core.apa_matmul.linear_combination` term
-        for term; ``allow_view`` (base level only) keeps the
-        single-block/coefficient-1 zero-copy path, while inner levels
-        must materialize into ``out`` because the next level's
-        precomputed block views alias it.
-        """
-        if not terms:
-            out[...] = 0
-            return out
-        idx0, c0 = terms[0]
-        if len(terms) == 1 and c0 == 1:
-            if allow_view:
-                return blocks[idx0]
-            np.copyto(out, blocks[idx0])
-            return out
-        if c0 == 1:
-            np.copyto(out, blocks[idx0])
-        else:
-            np.multiply(blocks[idx0], c0, out=out)
-        for idx, c in terms[1:]:
-            if c == 1:
-                out += blocks[idx]
-            elif c == -1:
-                out -= blocks[idx]
-            else:
-                scr = ws.scratch(out.shape, out.dtype)
-                np.multiply(blocks[idx], c, out=scr)
-                out += scr
-        return out
-
     def _run_level(self, ws: _Workspace, level: int, a_blocks, b_blocks,
                    gemm: GemmFn | None) -> np.ndarray:
+        accumulate(self.w_terms, self._products(ws, level, a_blocks,
+                                                b_blocks, gemm),
+                   ws.c_blocks[level], ws.scratch)
+        return ws.C[level]
+
+    def _products(self, ws: _Workspace, level: int, a_blocks, b_blocks,
+                  gemm: GemmFn | None):
+        """Yield ``M_0 .. M_{r-1}`` of one level, each into a reused slot.
+
+        The base level keeps the single-block zero-copy view; inner
+        levels materialize into the arena because the next level's
+        precomputed block views alias ``S``/``T``.
+        """
         base = level == self.key.steps - 1
         S_buf, T_buf = ws.S[level], ws.T[level]
-        c_blocks = ws.c_blocks[level]
-        initialized = [False] * len(c_blocks)
-        for i in range(self.rank):
-            S = self._combine(self.s_terms[i], a_blocks, S_buf, ws,
-                              allow_view=base)
-            T = self._combine(self.t_terms[i], b_blocks, T_buf, ws,
-                              allow_view=base)
-            if base:
-                if gemm is None:
-                    M = np.matmul(S, T, out=ws.P)
-                else:
-                    M = gemm(S, T)
+        for s_terms, t_terms in zip(self.s_terms, self.t_terms):
+            S = combine(s_terms, a_blocks, S_buf, ws.scratch, view=base)
+            T = combine(t_terms, b_blocks, T_buf, ws.scratch, view=base)
+            if not base:
+                yield self._run_level(ws, level + 1, ws.a_blocks[level + 1],
+                                      ws.b_blocks[level + 1], gemm)
+            elif gemm is None:
+                yield np.matmul(S, T, out=ws.P)
             else:
-                M = self._run_level(ws, level + 1, ws.a_blocks[level + 1],
-                                    ws.b_blocks[level + 1], gemm)
-            for q, w in self.w_terms[i]:
-                target = c_blocks[q]
-                if not initialized[q]:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized[q] = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    scr = ws.scratch(target.shape, target.dtype)
-                    np.multiply(M, w, out=scr)
-                    target += scr
-        # Output blocks no multiplication contributes to (possible for
-        # padded partitions of degenerate rules) must not leak stale
-        # arena data.
-        for q, done in enumerate(initialized):
-            if not done:
-                c_blocks[q][...] = 0
-        return ws.C[level]
+                yield gemm(S, T)
+
+
+def _plan_key(algorithm: AlgorithmLike, rows_a: int, cols_a: int,
+              cols_b: int, dtype, lam: float, steps: int = 1,
+              mode: str = "sequential", strategy: str = "none",
+              threads: int = 1) -> PlanKey:
+    return PlanKey(
+        algorithm=algorithm.name, alg_id=id(algorithm),
+        rows_a=rows_a, cols_a=cols_a, cols_b=cols_b,
+        dtype=np.dtype(dtype).str, lam=float(lam), steps=steps,
+        mode=mode, strategy=strategy, threads=threads,
+    )
 
 
 class PlanCache:
@@ -441,12 +521,8 @@ class PlanCache:
         threads: int = 1,
     ) -> ExecutionPlan:
         """Get-or-build the plan for a fully resolved configuration."""
-        key = PlanKey(
-            algorithm=algorithm.name, alg_id=id(algorithm),
-            rows_a=rows_a, cols_a=cols_a, cols_b=cols_b,
-            dtype=np.dtype(dtype).str, lam=float(lam), steps=steps,
-            mode=mode, strategy=strategy, threads=threads,
-        )
+        key = _plan_key(algorithm, rows_a, cols_a, cols_b, dtype, lam,
+                        steps, mode, strategy, threads)
         tracer = _obs_tracer.ACTIVE
         with self._lock:
             plan = self._plans.get(key)
@@ -559,8 +635,8 @@ def configure_plan_cache(maxsize: int = 64,
 def resolve_plan_cache(plan_cache) -> PlanCache | None:
     """Normalize the ``plan_cache`` argument the hot paths accept.
 
-    ``None`` means the process default, ``False`` disables the plan
-    engine (pure interpreter, the pre-plan behavior), and a
+    ``None`` means the process default, ``False`` means no cache (each
+    call builds a one-off plan, see :func:`acquire_plan`), and a
     :class:`PlanCache` instance is used as-is.
     """
     if plan_cache is None:
@@ -572,3 +648,17 @@ def resolve_plan_cache(plan_cache) -> PlanCache | None:
     raise TypeError(
         f"plan_cache must be None, False, or a PlanCache, "
         f"got {type(plan_cache).__name__}")
+
+
+def acquire_plan(plan_cache, algorithm: AlgorithmLike, *args,
+                 **kwargs) -> ExecutionPlan:
+    """The plan for a resolved configuration, honoring ``plan_cache``.
+
+    Arguments after ``plan_cache`` are those of :meth:`PlanCache.plan_for`.
+    The plan comes from the cache :func:`resolve_plan_cache` names, or is
+    built uncached for this call alone when ``plan_cache=False``.
+    """
+    cache = resolve_plan_cache(plan_cache)
+    if cache is not None:
+        return cache.plan_for(algorithm, *args, **kwargs)
+    return ExecutionPlan(algorithm, _plan_key(algorithm, *args, **kwargs))

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.apa_matmul import linear_combination
 from repro.core.engine import _run_sequential, default_engine
-from repro.linalg.blocking import BlockPartition, split_blocks
+from repro.core.plan import accumulate, acquire_plan, combine, plannable
 from repro.obs import tracer as _obs_tracer
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.pool import get_pool
-from repro.parallel.strategy import Schedule, build_schedule
+from repro.parallel.strategy import Schedule
 from repro.robustness.events import EventLog
 
 __all__ = ["threaded_apa_matmul", "JobOutcome", "ExecutionReport",
@@ -39,11 +38,6 @@ _ENGINE = default_engine()
 #: Retry pacing when the caller does not supply a policy: short enough
 #: not to matter against a gemm, long enough to ride out a transient.
 DEFAULT_BACKOFF = BackoffPolicy(base=0.001, cap=0.050)
-
-
-def _flatten(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
-    grid = split_blocks(X, rows, cols)
-    return [grid[i][j] for i in range(rows) for j in range(cols)]
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,8 @@ def _threaded_matmul_impl(
 
     from repro.core.lam import optimal_lambda, precision_bits
 
-    dtype = np.result_type(A.dtype, B.dtype)
+    A, B = plannable(A, B)
+    dtype = A.dtype
     if lam is None:
         d = precision_bits(dtype) if dtype.kind == "f" else 52
         lam = optimal_lambda(algorithm, d=d, steps=steps)
@@ -215,49 +210,26 @@ def _threaded_matmul_impl(
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive")
 
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
-    r = algorithm.rank
-
     # Observability: one umbrella span for the call, one span per
     # scheduled job (opened in the worker thread, so the Chrome trace
     # shows real per-thread lanes).  Disabled cost: this None check.
     tracer = _obs_tracer.ACTIVE
 
-    from repro.core.plan import resolve_plan_cache
-
-    cache = resolve_plan_cache(plan_cache)
-    plan = workspace = None
-    if (cache is not None and schedule is None
-            and A.dtype == B.dtype and A.dtype.kind == "f"):
-        plan = cache.plan_for(
-            algorithm, A.shape[0], A.shape[1], B.shape[1], A.dtype, lam,
-            steps=steps, mode="threaded", strategy=strategy,
-            threads=threads,
-        )
+    # A custom schedule is not part of the plan key, so it runs on an
+    # uncached plan.
+    plan = acquire_plan(
+        False if schedule is not None else plan_cache, algorithm,
+        A.shape[0], A.shape[1], B.shape[1], dtype, lam, steps=steps,
+        mode="threaded", strategy=strategy, threads=threads)
+    if schedule is None:
         schedule = plan.schedule
-        part = plan.partition
-        Un, Vn, Wn = plan.Un, plan.Vn, plan.Wn
-        workspace = plan.checkout()
-        Ap, Bp = plan.stage(workspace, A, B)
-        a_blocks = (workspace.a_blocks[0] if workspace.a_blocks[0] is not None
-                    else _flatten(Ap, m, n))
-        b_blocks = (workspace.b_blocks[0] if workspace.b_blocks[0] is not None
-                    else _flatten(Bp, n, k))
-    else:
-        if schedule is None:
-            schedule = build_schedule(r, threads, strategy)
-        part = BlockPartition(
-            m, n, k, rows_a=A.shape[0], cols_a=A.shape[1], cols_b=B.shape[1],
-            steps=steps,
-        )
-        Ap, Bp = part.prepare(A, B)
-        Un, Vn, Wn = algorithm.evaluate(lam, dtype=dtype)
-        a_blocks = _flatten(Ap, m, n)
-        b_blocks = _flatten(Bp, n, k)
+    r = plan.rank
+    workspace = plan.checkout()
+    a_blocks, b_blocks = plan.stage(workspace, A, B)
 
     def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-        return (linear_combination(a_blocks, Un[:, i]),
-                linear_combination(b_blocks, Vn[:, i]))
+        return (combine(plan.s_terms[i], a_blocks),
+                combine(plan.t_terms[i], b_blocks))
 
     def record(outcome: JobOutcome) -> None:
         if report is not None:
@@ -368,42 +340,11 @@ def _threaded_matmul_impl(
                     record(JobOutcome(mult, status, attempts, t_start,
                                       t_end, error=err))
 
-        if workspace is not None:
-            C = workspace.C[0]
-            c_blocks = workspace.c_blocks[0]
-        else:
-            C = np.zeros((part.padded_rows_a, part.padded_cols_b),
-                         dtype=dtype)
-            c_blocks = _flatten(C, m, k)
-        for q in range(len(c_blocks)):
-            initialized = False
-            target = c_blocks[q]
-            for i in range(r):
-                w = Wn[q, i]
-                if w == 0:
-                    continue
-                M = products[i]
-                if not initialized:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    target += w * M
-            if not initialized:
-                # Arena C is uninitialized memory, not np.zeros.
-                target[...] = 0
-        if workspace is not None:
-            # Always copy out: the arena C belongs to the plan.
-            return np.array(C[: A.shape[0], : B.shape[1]])
-        return np.ascontiguousarray(part.crop(C))
+        accumulate(plan.w_terms, [products[i] for i in range(r)],
+                   workspace.c_blocks[0], workspace.scratch)
+        # Always copy out: the arena C belongs to the plan.
+        return np.array(workspace.C[0][: A.shape[0], : B.shape[1]])
     finally:
         if outer_span is not None:
             outer_span.__exit__(None, None, None)
-        if workspace is not None:
-            plan.release(workspace)
+        plan.release(workspace)

@@ -26,10 +26,10 @@ Failure contract (mirrors the threaded executor's ladder):
   mapping, bad spec) reaches the parent, which recomputes the block
   classically (``fallback``) and condemns the call's segments.
 
-Results are bit-identical to the interpreter and threaded paths: the
-staging, ``linear_combination`` calls, gemms, and W-combination are the
-same operations in the same order on the same values — only the address
-space they run in differs.
+Results are bit-identical to the sequential and threaded paths: workers
+and parent run the same :func:`~repro.core.plan.combine` and
+:func:`~repro.core.plan.accumulate` over the same plan's term lists, in
+the same order on the same values — only the address space differs.
 
 Workers start via ``spawn``, never ``fork``: the parent is
 multithreaded (executor pool, tracer, BLAS), and forking it can copy
@@ -61,16 +61,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.apa_matmul import linear_combination
 from repro.core.engine import _run_sequential, default_engine
-from repro.linalg.blocking import BlockPartition
+from repro.core.plan import (accumulate, acquire_plan, block_views, combine,
+                             plannable)
 from repro.obs import tracer as _obs_tracer
 from repro.obs.registry import default_registry
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.executor import (DEFAULT_BACKOFF, ExecutionReport,
-                                     JobOutcome, _flatten)
+                                     JobOutcome)
 from repro.parallel.shm import acquire_segment, release_segment
-from repro.parallel.strategy import Schedule, build_schedule
+from repro.parallel.strategy import Schedule
 
 __all__ = ["process_apa_matmul", "get_process_pool",
            "shutdown_process_pool", "process_pool_stats"]
@@ -257,8 +257,9 @@ class _TaskSpec:
     m: int
     n: int
     k: int
-    u_col: np.ndarray
-    v_col: np.ndarray
+    #: The plan's ``s_terms[mult]``/``t_terms[mult]``.
+    s_terms: tuple
+    t_terms: tuple
     #: ``('catalog', name)`` / ``('object', algorithm)``; ``None`` when
     #: ``steps == 1`` (the worker then needs no coefficients at all).
     algorithm: Any
@@ -305,8 +306,8 @@ def _run_task(spec: _TaskSpec) -> tuple:
     Ap = np.ndarray(spec.a_shape, dtype=dtype, buffer=a_seg.buf)
     Bp = np.ndarray(spec.b_shape, dtype=dtype, buffer=b_seg.buf)
     OUT = np.ndarray(spec.out_shape, dtype=dtype, buffer=out_seg.buf)
-    S = linear_combination(_flatten(Ap, spec.m, spec.n), spec.u_col)
-    T = linear_combination(_flatten(Bp, spec.n, spec.k), spec.v_col)
+    S = combine(spec.s_terms, block_views(Ap, spec.m, spec.n))
+    T = combine(spec.t_terms, block_views(Bp, spec.n, spec.k))
 
     if spec.steps > 1:
         algorithm = _task_algorithm(spec)
@@ -442,40 +443,27 @@ def _process_matmul_impl(
 
     from repro.core.lam import optimal_lambda, precision_bits
 
-    dtype = np.result_type(A.dtype, B.dtype)
-    if dtype.hasobject:
-        raise ValueError("process execution requires a fixed-size dtype")
+    A, B = plannable(A, B)
+    dtype = A.dtype
     if lam is None:
         d = precision_bits(dtype) if dtype.kind == "f" else 52
         lam = optimal_lambda(algorithm, d=d, steps=steps)
 
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
-    r = algorithm.rank
-
-    from repro.core.plan import resolve_plan_cache
-
-    cache = resolve_plan_cache(plan_cache)
-    if (cache is not None and schedule is None
-            and A.dtype == B.dtype and A.dtype.kind == "f"):
-        # Metadata-only plan use (schedule, partition, evaluated
-        # coefficients): blocks live in shared memory, not the plan's
-        # arenas, so no workspace is checked out.  The key matches the
-        # threaded path on purpose — both executors share one plan per
-        # (shape, dtype, lam, schedule geometry).
-        plan = cache.plan_for(
-            algorithm, A.shape[0], A.shape[1], B.shape[1], A.dtype, lam,
-            steps=steps, mode="threaded", strategy=strategy,
-            threads=workers)
+    # Metadata-only plan use (schedule, partition, term lists): blocks
+    # live in shared memory, not the plan's arenas, so no workspace is
+    # checked out.  The key matches the threaded path on purpose — both
+    # executors share one plan per (shape, dtype, lam, schedule
+    # geometry).  A custom schedule is not part of the key, so it runs
+    # on an uncached plan.
+    plan = acquire_plan(
+        False if schedule is not None else plan_cache, algorithm,
+        A.shape[0], A.shape[1], B.shape[1], dtype, lam, steps=steps,
+        mode="threaded", strategy=strategy, threads=workers)
+    if schedule is None:
         schedule = plan.schedule
-        part = plan.partition
-        Un, Vn, Wn = plan.Un, plan.Vn, plan.Wn
-    else:
-        if schedule is None:
-            schedule = build_schedule(r, workers, strategy)
-        part = BlockPartition(
-            m, n, k, rows_a=A.shape[0], cols_a=A.shape[1],
-            cols_b=B.shape[1], steps=steps)
-        Un, Vn, Wn = algorithm.evaluate(lam, dtype=dtype)
+    part = plan.partition
+    m, n, k = algorithm.m, algorithm.n, algorithm.k
+    r = plan.rank
 
     Mp = part.padded_rows_a
     Np = part.padded_cols_a
@@ -510,12 +498,12 @@ def _process_matmul_impl(
         if Kp > B.shape[1]:
             Bp[:B.shape[0], B.shape[1]:] = 0
         OUT = out_seg.view((r, bm, bk), dtype)
-        a_blocks = _flatten(Ap, m, n)
-        b_blocks = _flatten(Bp, n, k)
+        a_blocks = block_views(Ap, m, n)
+        b_blocks = block_views(Bp, n, k)
 
         def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-            return (linear_combination(a_blocks, Un[:, i]),
-                    linear_combination(b_blocks, Vn[:, i]))
+            return (combine(plan.s_terms[i], a_blocks),
+                    combine(plan.t_terms[i], b_blocks))
 
         def record(outcome: JobOutcome) -> None:
             if report is not None:
@@ -537,8 +525,7 @@ def _process_matmul_impl(
                 out_name=out_seg.name, a_shape=(Mp, Np),
                 b_shape=(Np, Kp), out_shape=(r, bm, bk), dtype=dtype.str,
                 m=m, n=n, k=k,
-                u_col=np.ascontiguousarray(Un[:, i]),
-                v_col=np.ascontiguousarray(Vn[:, i]),
+                s_terms=plan.s_terms[i], t_terms=plan.t_terms[i],
                 algorithm=alg_ref, lam=float(lam), steps=steps,
                 retries=retries, check_finite=check_finite,
                 backoff=(policy.base, policy.cap, policy.multiplier,
@@ -664,28 +651,9 @@ def _process_matmul_impl(
                 record(JobOutcome(i, status, attempts, t_start, t_end,
                                   error=err))
 
-        C = np.zeros((Mp, Kp), dtype=dtype)
-        c_blocks = _flatten(C, m, k)
-        for q in range(len(c_blocks)):
-            initialized = False
-            target = c_blocks[q]
-            for i in range(r):
-                w = Wn[q, i]
-                if w == 0:
-                    continue
-                M = products[i]
-                if not initialized:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    target += w * M
+        C = np.empty((Mp, Kp), dtype=dtype)
+        accumulate(plan.w_terms, [products[i] for i in range(r)],
+                   block_views(C, m, k))
         return np.ascontiguousarray(part.crop(C))
     finally:
         if outer_span is not None:

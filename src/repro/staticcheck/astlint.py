@@ -34,7 +34,8 @@ the threaded executor and the robustness stack must never reintroduce:
 ``ENG001``
     The single-dispatch-point invariant: the private execution
     internals (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
-    ``_batched_matmul_impl``) may only be imported or called from
+    ``_batched_matmul_impl``, ``_process_matmul_impl``,
+    ``_shard_matmul_impl``) may only be imported or called from
     ``repro/core/engine.py``.  Every other module must go through a
     public shim or the :class:`~repro.core.engine.ExecutionEngine`
     itself — otherwise configs, contexts, guards, and fault injection

@@ -2,7 +2,7 @@
 
 :mod:`repro.codegen.generate` emits straight-line Python implementing one
 recursive step of an algorithm.  The emitted module has a rigid contract
-that the interpreter path relies on and that CSE rewrites must preserve:
+that ``mode='kernel'`` relies on and that CSE rewrites must preserve:
 
 - it parses and compiles (``GEN000``);
 - it contains exactly ``r`` calls to ``gemm``, each bound to a product

@@ -110,7 +110,8 @@ _RULE_LIST: tuple[RuleInfo, ...] = (
     RuleInfo("ENG001", Severity.ERROR,
              "single-dispatch-point violation: engine-private internals "
              "(_apa_matmul_impl / _threaded_matmul_impl / "
-             "_batched_matmul_impl) imported or called outside "
+             "_batched_matmul_impl / _process_matmul_impl / "
+             "_shard_matmul_impl) imported or called outside "
              "core/engine.py — go through a public shim or the "
              "ExecutionEngine"),
     RuleInfo("ENG002", Severity.ERROR,

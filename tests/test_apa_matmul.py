@@ -1,4 +1,4 @@
-"""Tests for the generic executor — exactness, error bounds, shapes."""
+"""Tests for the sequential entry point and the plan evaluator's combine."""
 
 from __future__ import annotations
 
@@ -7,43 +7,78 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.analysis import predicted_error_bound
 from repro.algorithms.catalog import get_algorithm
-from repro.core.apa_matmul import (
-    apa_matmul,
-    apa_matmul_nonstationary,
-    linear_combination,
-)
+from repro.core.apa_matmul import apa_matmul, apa_matmul_nonstationary
+from repro.core.plan import combine
+
+
+def _terms(coeffs):
+    """A plan term list from a dense coefficient column."""
+    return tuple((j, c) for j, c in enumerate(coeffs) if c != 0)
 
 
 class TestLinearCombination:
     def test_single_unit_term_returns_view(self, rng):
         blocks = [rng.random((3, 3)) for _ in range(3)]
-        out = linear_combination(blocks, np.array([0.0, 1.0, 0.0]))
+        out = combine(_terms([0.0, 1.0, 0.0]), blocks)
         assert out is blocks[1]
+
+    def test_single_unit_term_materializes_without_view(self, rng):
+        blocks = [rng.random((3, 3)) for _ in range(3)]
+        buf = np.empty((3, 3))
+        out = combine(_terms([0.0, 1.0, 0.0]), blocks, out=buf, view=False)
+        assert out is buf and np.array_equal(buf, blocks[1])
 
     def test_general_combination(self, rng):
         blocks = [rng.random((3, 3)) for _ in range(3)]
         coeffs = np.array([2.0, -1.0, 0.5])
-        out = linear_combination(blocks, coeffs)
+        out = combine(_terms(coeffs), blocks)
         expected = 2 * blocks[0] - blocks[1] + 0.5 * blocks[2]
         assert np.allclose(out, expected)
 
+    def test_batched_blocks(self, rng):
+        blocks = [rng.random((4, 3, 3)) for _ in range(2)]
+        out = combine(_terms([0.5, -1.0]), blocks)
+        assert np.allclose(out, 0.5 * blocks[0] - blocks[1])
+
     def test_all_zero_coefficients(self, rng):
         blocks = [rng.random((2, 2))]
-        out = linear_combination(blocks, np.array([0.0]))
+        out = combine(_terms([0.0]), blocks)
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_out_buffer_reused(self, rng):
         blocks = [rng.random((2, 2)), rng.random((2, 2))]
         buf = np.empty((2, 2))
-        out = linear_combination(blocks, np.array([1.0, 1.0]), out=buf)
+        out = combine(_terms([1.0, 1.0]), blocks, out=buf)
         assert out is buf
         assert np.allclose(buf, blocks[0] + blocks[1])
 
     def test_out_buffer_zeroed_when_empty(self, rng):
         buf = rng.random((2, 2))
-        out = linear_combination([buf.copy()], np.array([0.0]), out=buf)
+        out = combine(_terms([0.0]), [buf.copy()], out=buf)
         assert out is buf and buf.sum() == 0
+
+
+class TestOperandDtypes:
+    @pytest.mark.parametrize("name", ["bini322", "strassen222"])
+    def test_integer_operands_compute_in_float64(self, name):
+        # Evaluating lambda**-1 coefficients at an integer dtype truncates
+        # them; the product must be float64 and within the error model.
+        A = np.arange(16).reshape(4, 4)
+        exact = A[:3] @ A
+        C = apa_matmul(A[:3], A, name)
+        assert C.dtype == np.float64
+        rel = np.max(np.abs(C - exact)) / np.max(np.abs(exact))
+        assert rel <= predicted_error_bound(name, d=52, inner_dim=4)
+
+    def test_mixed_float_operands_promote(self, rng):
+        A = rng.random((12, 10)).astype(np.float32)
+        B = rng.random((10, 8))
+        alg = get_algorithm("bini322")
+        C = apa_matmul(A, B, alg)
+        assert C.dtype == np.float64
+        assert np.array_equal(C, apa_matmul(A.astype(np.float64), B, alg))
 
 
 class TestExactness:

@@ -3,7 +3,7 @@
 Pins the refactor's load-bearing contracts:
 
 - an empty stack and every identity-stage ordering are bit-identical to
-  the bare interpreter path (the shim guarantee);
+  the bare sequential path (the shim guarantee);
 - the randomized stage is exact in exact arithmetic, deterministic
   under a fixed seed, and composes with the guard;
 - stage selection (sugar knobs vs ``stages=``), canonical ordering, and
@@ -41,7 +41,7 @@ def operands():
 
 
 # ----------------------------------------------------------------------
-# bit-identity: disabled / identity stage orderings == bare interpreter
+# bit-identity: disabled / identity stage orderings == bare sequential path
 # ----------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from repro.experiments.hardware import (
     run_hardware_sensitivity,
 )
 from repro.machine.spec import paper_machine
+from tests._reference_bilinear import reference_matmul
 
 
 class TestBatched:
@@ -27,6 +28,8 @@ class TestBatched:
         for i in range(4):
             single = apa_matmul(A[i], B[i], alg)
             assert np.array_equal(batched[i], single)
+            assert np.array_equal(batched[i],
+                                  reference_matmul(A[i], B[i], alg))
 
     def test_exact_algorithm_correct(self, rng):
         alg = get_algorithm("strassen444")

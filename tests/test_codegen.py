@@ -1,4 +1,4 @@
-"""Tests for the code generator — generated code ≡ interpreter."""
+"""Tests for the code generator — generated code ≡ the plan evaluator."""
 
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ class TestGenerateSource:
 class TestCompiledEquivalence:
     @pytest.mark.parametrize("name", list_algorithms("real"))
     def test_generated_matches_interpreter(self, name, rng):
-        """For every real algorithm, generated code and the generic
-        interpreter agree to floating-point roundoff on awkward shapes."""
+        """For every real algorithm, generated code and the generic plan
+        evaluator agree to floating-point roundoff on awkward shapes."""
         alg = get_algorithm(name)
         fn = compile_algorithm(alg)
         A = rng.random((37, 29))

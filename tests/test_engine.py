@@ -30,6 +30,7 @@ from repro.core.plan import PlanCache
 from repro.parallel.executor import threaded_apa_matmul
 from repro.robustness.guard import GuardedBackend
 from repro.robustness.inject import FaultSpec, faulty_gemm
+from tests._reference_bilinear import reference_matmul
 
 BINI_RANK = get_algorithm("bini322").rank
 
@@ -63,13 +64,14 @@ class TestCrossPathBitIdentity:
         alg = get_algorithm(name)
         A, B = _operands(shape, dtype)
         engine = default_engine()
-        expected = apa_matmul(A, B, alg, steps=steps)
+        expected = reference_matmul(A, B, alg, steps=steps)
         paths = {
+            "apa_matmul": apa_matmul(A, B, alg, steps=steps),
             "engine.matmul": engine.matmul(A, B, alg, steps=steps),
-            "interpreter": apa_matmul(A, B, alg, steps=steps,
-                                      plan_cache=False),
-            "mode=plan": engine.matmul(A, B, alg, steps=steps, mode="plan",
-                                       plan_cache=PlanCache()),
+            "uncached plan": apa_matmul(A, B, alg, steps=steps,
+                                        plan_cache=False),
+            "private cache": engine.matmul(A, B, alg, steps=steps,
+                                           plan_cache=PlanCache()),
             "threaded shim": threaded_apa_matmul(A, B, alg, threads=2,
                                                  steps=steps),
             "engine threads=2": engine.matmul(A, B, alg, steps=steps,
@@ -87,7 +89,8 @@ class TestCrossPathBitIdentity:
         A, B = _operands((24, 20, 28), np.float32)
         lam = 2.0 ** -11
         engine = default_engine()
-        expected = apa_matmul(A, B, alg, lam=lam)
+        expected = reference_matmul(A, B, alg, lam=lam)
+        assert np.array_equal(apa_matmul(A, B, alg, lam=lam), expected)
         assert np.array_equal(engine.matmul(A, B, alg, lam=lam), expected)
         assert np.array_equal(
             apa_matmul(A, B, alg, lam=lam, plan_cache=False), expected)
@@ -101,13 +104,13 @@ class TestCrossPathBitIdentity:
         assert np.array_equal(
             default_engine().matmul(A, B, "strassen222"), expected)
 
-    def test_kernel_mode_matches_interpreter_to_roundoff(self):
+    def test_kernel_mode_matches_reference_to_roundoff(self):
         # Compiled kernels reassociate the combinations, so this path
         # is allclose-level (same contract as tests/test_codegen.py),
         # not bit-identical.
         alg = get_algorithm("strassen222")
         A, B = _operands((32, 32, 32), np.float64)
-        expected = apa_matmul(A, B, alg, plan_cache=False)
+        expected = reference_matmul(A, B, alg)
         K = default_engine().matmul(A, B, alg, mode="kernel")
         assert np.allclose(K, expected, rtol=1e-9)
 
@@ -185,26 +188,29 @@ class TestNonstationary:
         assert np.array_equal(guarded.matmul(A, B), expected)
         assert guarded.violations == 0
 
-    def test_gemm_seam_is_consistent_between_plan_and_interpreter(self):
+    def test_gemm_seam_is_consistent_between_cached_and_uncached(self):
         algs = [get_algorithm("strassen222"), get_algorithm("strassen222")]
         A, B = _operands((16, 16, 16), np.float32)
-        calls = {"plan": 0, "interp": 0}
+        calls = {"cached": 0, "uncached": 0}
 
-        def counting_gemm_plan(X, Y):
-            calls["plan"] += 1
+        def counting_gemm_cached(X, Y):
+            calls["cached"] += 1
             return X @ Y
 
-        def counting_gemm_interp(X, Y):
-            calls["interp"] += 1
+        def counting_gemm_uncached(X, Y):
+            calls["uncached"] += 1
             return X @ Y
 
-        with_plan = apa_matmul_nonstationary(
-            A, B, algs, gemm=counting_gemm_plan, plan_cache=PlanCache())
-        without = apa_matmul_nonstationary(
-            A, B, algs, gemm=counting_gemm_interp, plan_cache=False)
-        assert np.array_equal(with_plan, without)
+        cached = apa_matmul_nonstationary(
+            A, B, algs, gemm=counting_gemm_cached, plan_cache=PlanCache())
+        uncached = apa_matmul_nonstationary(
+            A, B, algs, gemm=counting_gemm_uncached, plan_cache=False)
+        # Strassen twice is Strassen at two levels: the reference pins both.
+        expected = reference_matmul(A, B, algs[0], steps=2, lam=1.0)
+        assert np.array_equal(cached, expected)
+        assert np.array_equal(uncached, expected)
         # the custom gemm reaches the base case on both paths (7*7 leaves)
-        assert calls["plan"] == calls["interp"] == 49
+        assert calls["cached"] == calls["uncached"] == 49
 
     def test_empty_level_list_raises(self):
         A, B = _operands((8, 8, 8), np.float32)
@@ -353,9 +359,14 @@ class TestConfigValidation:
         dict(mode="plan", plan_cache=False),
         dict(mode="interpreter", schedule="precomputed"),
         dict(mode="kernel", retries=1),
+        dict(mode="interpreter"),
+        dict(mode="plan"),
     ])
     def test_invalid_configs_raise(self, kwargs):
-        with pytest.raises(ValueError):
+        # The removed modes name their replacements.
+        match = (r"plan_cache=False.*mode='auto'"
+                 if kwargs.get("mode") in ("interpreter", "plan") else None)
+        with pytest.raises(ValueError, match=match):
             ExecutionConfig(**kwargs)
 
     def test_merged_rejects_unknown_keys(self):
@@ -381,12 +392,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="report"):
             default_engine().matmul(A, B, "bini322", guarded=True,
                                     report=object())
-
-    def test_plan_mode_rejects_mixed_dtypes(self):
-        A = np.zeros((8, 8), dtype=np.float32)
-        B = np.zeros((8, 8), dtype=np.float64)
-        with pytest.raises(ValueError, match="matching float"):
-            default_engine().matmul(A, B, "bini322", mode="plan")
 
     def test_legacy_shape_validation_survives(self):
         with pytest.raises(ValueError, match="2-D operands"):

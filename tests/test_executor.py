@@ -10,6 +10,7 @@ from repro.parallel.executor import ExecutionReport, threaded_apa_matmul
 from repro.parallel.strategy import build_schedule
 from repro.parallel.tracing import render_execution_gantt
 from repro.robustness.inject import FaultSpec, faulty_gemm
+from tests._reference_bilinear import reference_matmul
 
 
 class TestNumericalEquivalence:
@@ -22,19 +23,19 @@ class TestNumericalEquivalence:
                                 threads=threads, strategy=strategy)
         assert np.allclose(C, A @ B, rtol=1e-5, atol=1e-5)
 
-    def test_matches_sequential_interpreter_bitwise_for_exact(self, rng):
+    def test_matches_reference_bitwise_for_exact(self, rng):
         """Threading changes only *where* products run, not the arithmetic:
-        for an exact algorithm the threaded result equals the sequential
-        interpreter result exactly."""
-        from repro.core.apa_matmul import apa_matmul
-
+        for an exact algorithm the threaded result equals the reference
+        recursion exactly, cached or not."""
         A = rng.random((32, 32))
         B = rng.random((32, 32))
         alg = get_algorithm("strassen222")
+        expected = reference_matmul(A, B, alg)
         assert np.array_equal(
-            threaded_apa_matmul(A, B, alg, threads=4),
-            apa_matmul(A, B, alg),
-        )
+            threaded_apa_matmul(A, B, alg, threads=4), expected)
+        assert np.array_equal(
+            threaded_apa_matmul(A, B, alg, threads=4, plan_cache=False),
+            expected)
 
     def test_apa_algorithm_error_in_bound(self, rng):
         alg = get_algorithm("bini322")

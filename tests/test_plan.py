@@ -15,8 +15,10 @@ from repro.core.plan import (
 )
 from repro.parallel.executor import threaded_apa_matmul
 from repro.parallel.pool import get_pool, pool_stats, shutdown_pool
+from repro.parallel.procpool import process_apa_matmul
 from repro.robustness.events import EventLog
 from repro.robustness.guard import GuardedBackend
+from tests._reference_bilinear import reference_matmul
 
 
 def _operands(shape, dtype=np.float64, seed=7):
@@ -28,22 +30,61 @@ def _operands(shape, dtype=np.float64, seed=7):
 
 
 # ----------------------------------------------------------------------
-# bit-identity: the plan path IS the interpreter
+# bit-identity: every path against the independent reference recursion
 # ----------------------------------------------------------------------
+
+
+ORACLE_GRID = [
+    (name, dtype, steps, shape)
+    for name in ("strassen222", "bini322", "laderman333", "dps222")
+    for dtype in (np.float32, np.float64)
+    for steps in (1, 2)
+    # divisible by every rule's dims at both depths, and ragged
+    for shape in ((36, 36, 36), (17, 13, 11))
+]
+
+
+@pytest.mark.parametrize("name,dtype,steps,shape", ORACLE_GRID)
+def test_every_path_matches_the_reference_bitwise(name, dtype, steps, shape):
+    alg = get_algorithm(name)
+    A, B = _operands(shape, dtype=dtype)
+    expected = reference_matmul(A, B, alg, steps=steps)
+    cache = PlanCache()
+    paths = {
+        "cached": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
+        "cached again": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
+        "uncached": apa_matmul(A, B, alg, steps=steps, plan_cache=False),
+        "process": process_apa_matmul(A, B, alg, workers=2, steps=steps),
+    }
+    for threads in (1, 2, 3):
+        paths[f"threads={threads}"] = threaded_apa_matmul(
+            A, B, alg, threads=threads, steps=steps, plan_cache=cache)
+    if steps == 1:
+        # Stacked batched mode is single-step; each item is the 2-D product.
+        stacked = apa_matmul_batched(np.stack([A, 2 * A]), np.stack([B, B]),
+                                     alg, plan_cache=cache)
+        paths["batched item 0"] = stacked[0]
+        assert np.array_equal(stacked[1],
+                              reference_matmul(2 * A, B, alg, steps=1))
+    for label, C in paths.items():
+        assert C.dtype == expected.dtype, label
+        assert np.array_equal(C, expected), label
 
 
 @pytest.mark.parametrize("name", ["strassen222", "bini322"])
 @pytest.mark.parametrize("shape", [(32, 32, 32), (17, 13, 11)])
 @pytest.mark.parametrize("steps", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_plan_matches_interpreter_bitwise(name, shape, steps, dtype):
+def test_plan_matches_reference_bitwise(name, shape, steps, dtype):
     alg = get_algorithm(name)
     A, B = _operands(shape, dtype=dtype)
+    expected = reference_matmul(A, B, alg, steps=steps)
     cold = apa_matmul(A, B, alg, steps=steps, plan_cache=False)
     cache = PlanCache()
     warm1 = apa_matmul(A, B, alg, steps=steps, plan_cache=cache)
     warm2 = apa_matmul(A, B, alg, steps=steps, plan_cache=cache)
-    assert np.array_equal(cold, warm1)
+    assert np.array_equal(cold, expected)
+    assert np.array_equal(warm1, expected)
     assert np.array_equal(warm1, warm2)
     stats = cache.stats()
     assert stats["misses"] == 1 and stats["hits"] == 1
@@ -53,7 +94,7 @@ def test_plan_reuse_is_bit_identical_across_many_calls():
     alg = get_algorithm("bini322")
     A, B = _operands((24, 16, 20), dtype=np.float32)
     cache = PlanCache()
-    reference = apa_matmul(A, B, alg, plan_cache=False)
+    reference = reference_matmul(A, B, alg)
     results = [apa_matmul(A, B, alg, plan_cache=cache) for _ in range(5)]
     for C in results:
         assert np.array_equal(C, reference)
@@ -78,13 +119,13 @@ def test_guarded_backend_plan_reuse_bit_identical():
     alg = get_algorithm("strassen222")
     A, B = _operands((32, 32, 32), dtype=np.float64, seed=3)
 
-    interpreter = apa_matmul(A, B, alg, plan_cache=False)
+    reference = reference_matmul(A, B, alg)
     cache = PlanCache()
     guarded = GuardedBackend(APABackend(algorithm=alg, plan_cache=cache))
     out1 = guarded.matmul(A, B)
     out2 = guarded.matmul(A, B)
-    assert np.array_equal(out1, interpreter)
-    assert np.array_equal(out2, interpreter)
+    assert np.array_equal(out1, reference)
+    assert np.array_equal(out2, reference)
     assert guarded.violations == 0
     assert cache.stats()["hits"] >= 1
 
@@ -92,7 +133,7 @@ def test_guarded_backend_plan_reuse_bit_identical():
 def test_threaded_plan_matches_sequential_bitwise():
     alg = get_algorithm("bini322")
     A, B = _operands((17, 14, 10), dtype=np.float32, seed=11)
-    sequential = apa_matmul(A, B, alg, plan_cache=False)
+    sequential = reference_matmul(A, B, alg)
     cache = PlanCache()
     t1 = threaded_apa_matmul(A, B, alg, threads=3, plan_cache=cache)
     t2 = threaded_apa_matmul(A, B, alg, threads=3, plan_cache=cache)
@@ -136,6 +177,8 @@ def test_batched_stacked_plan_reuse_bit_identical():
     cache = PlanCache()
     warm1 = apa_matmul_batched(A, B, alg, plan_cache=cache)
     warm2 = apa_matmul_batched(A, B, alg, plan_cache=cache)
+    for i in range(A.shape[0]):
+        assert np.array_equal(cold[i], reference_matmul(A[i], B[i], alg))
     assert np.array_equal(cold, warm1)
     assert np.array_equal(warm1, warm2)
     stats = cache.stats()

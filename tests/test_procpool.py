@@ -1,7 +1,7 @@
 """Tests for the process-backed executor (shared-memory block parallelism).
 
 The contract under test: ``executor='process'`` is *bit-identical* to
-the sequential interpreter for every real catalog algorithm — staging
+the reference recursion for every real catalog algorithm — staging
 blocks in shared memory and running the §3.2 schedule on real worker
 processes changes only where the arithmetic happens, never its result.
 """
@@ -25,17 +25,22 @@ from repro.parallel.procpool import (
     shutdown_process_pool,
 )
 from repro.parallel.shm import shm_stats
+from tests._reference_bilinear import reference_matmul
 
 
 class TestBitIdentity:
-    def test_every_real_algorithm_matches_interpreter(self, real_algorithm,
-                                                      rng):
+    def test_every_real_algorithm_matches_reference(self, real_algorithm,
+                                                    rng):
         """Odd, non-divisible dims force padding; results must still be
-        bit-identical to the sequential interpreter path."""
+        bit-identical to the reference recursion, cached or not."""
         A = rng.random((13, 11))
         B = rng.random((11, 9))
+        expected = reference_matmul(A, B, real_algorithm)
         C = process_apa_matmul(A, B, real_algorithm, workers=2)
-        assert np.array_equal(C, apa_matmul(A, B, real_algorithm))
+        assert np.array_equal(C, expected)
+        C = process_apa_matmul(A, B, real_algorithm, workers=2,
+                               plan_cache=False)
+        assert np.array_equal(C, expected)
 
     @pytest.mark.parametrize("strategy", ["hybrid", "bfs", "dfs"])
     def test_all_strategies(self, strategy, rng):
@@ -120,7 +125,8 @@ class TestPlumbing:
                                     gemm=np.matmul)
 
     def test_interpreter_mode_combination_rejected(self, rng):
-        with pytest.raises(ValueError, match="executor"):
+        # mode='interpreter' is gone; the config names its replacement.
+        with pytest.raises(ValueError, match="plan_cache=False"):
             default_engine().matmul(rng.random((8, 8)), rng.random((8, 8)),
                                     get_algorithm("strassen222"),
                                     executor="process", mode="interpreter")

@@ -22,7 +22,7 @@ from repro.shard import ShardSpec, recommend_shard_spec, shard_matmul
 
 def _tiled_reference(A, B, algorithm, spec):
     """The pinned semantics: ascending output tiles, ascending panels,
-    each panel product through the sequential interpreter."""
+    each panel product through the sequential plan."""
     M, N = A.shape
     K = B.shape[1]
     dtype = np.result_type(A.dtype, B.dtype)
@@ -188,7 +188,7 @@ class TestPlumbing:
 
     def test_default_budget_recommendation(self, rng):
         """shard_matmul with no geometry derives one from the default
-        budget and still matches the interpreter (single tile here)."""
+        budget and still matches the sequential path (single tile here)."""
         alg = get_algorithm("strassen222")
         A, B = rng.random((20, 20)), rng.random((20, 20))
         C = shard_matmul(A, B, alg)

@@ -133,7 +133,7 @@ class TestMultiStepThreaded:
                                 threads=3, steps=2)
         assert np.allclose(C, A @ B, rtol=1e-9, atol=1e-11)
 
-    def test_two_steps_matches_sequential_interpreter(self, rng):
+    def test_two_steps_matches_sequential_plan(self, rng):
         from repro.core.apa_matmul import apa_matmul
 
         A = rng.random((32, 32))
