@@ -1,7 +1,7 @@
 """Micro-benchmarks of the library's own kernels (not a paper figure).
 
-Useful for profiling regressions in the executor, the codegen output,
-the surrogate path, and the symbolic substrate.
+Useful for profiling regressions in the plan evaluator, the surrogate
+path, and the symbolic substrate.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import pytest
 from conftest import bench_scale
 
 from repro.algorithms.catalog import get_algorithm
-from repro.codegen.cache import compile_algorithm
 from repro.core.apa_matmul import apa_matmul
 from repro.core.surrogate import surrogate_matmul
 from repro.linalg.tensor import matmul_tensor
@@ -37,12 +36,6 @@ def test_interpreter_bini322(benchmark, operands):
 def test_interpreter_strassen444(benchmark, operands):
     A, B = operands
     benchmark(apa_matmul, A, B, get_algorithm("strassen444"))
-
-
-def test_generated_code_bini322(benchmark, operands):
-    A, B = operands
-    fn = compile_algorithm(get_algorithm("bini322"))
-    benchmark(fn, A, B, 2.0**-12)
 
 
 def test_surrogate_path(benchmark, operands):

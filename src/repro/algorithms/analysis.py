@@ -141,7 +141,7 @@ def analyze_algorithm(algorithm: AlgorithmLike | str, crossover: bool = True,
 
     CSE is greedy-quadratic in the coefficient count, so it is skipped
     (reported as ``None``) above ``cse_max_rank`` — run it explicitly via
-    :mod:`repro.codegen.cse` for the XL tensor-product rules.
+    :mod:`repro.algorithms.cse` for the XL tensor-product rules.
     """
     if isinstance(algorithm, str):
         from repro.algorithms.catalog import get_algorithm
@@ -152,7 +152,7 @@ def analyze_algorithm(algorithm: AlgorithmLike | str, crossover: bool = True,
 
     additions_cse = None
     if not algorithm.is_surrogate and algorithm.rank <= cse_max_rank:
-        from repro.codegen.cse import eliminate_common_subexpressions
+        from repro.algorithms.cse import eliminate_common_subexpressions
 
         additions_cse = (
             eliminate_common_subexpressions(algorithm.U).additions

@@ -74,8 +74,8 @@ def strassen_winograd_algorithm() -> BilinearAlgorithm:
 
     The S/T combinations below are expanded to raw entries of A and B (the
     rank-decomposition view does not express common subexpressions; the
-    addition savings are recovered by the code generator's subexpression
-    reuse — see :mod:`repro.codegen`).
+    addition savings are recovered by greedy subexpression reuse — see
+    :mod:`repro.algorithms.cse`).
     """
     a = [
         {(0, 0): 1},                                   # M1: A11

@@ -5,7 +5,6 @@ Commands
 ``list``          — the algorithm catalog with Table-1 properties
 ``verify NAME``   — symbolically verify a (real) catalog algorithm
 ``info NAME``     — full analytics report (adds, CSE, workspace, crossover)
-``codegen NAME``  — print the generated Python for an algorithm
 ``table1``        — regenerate Table 1
 ``fig N``         — regenerate a figure (1-7)
 ``matmul``        — run one APA product and report the error
@@ -50,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--crossover", action="store_true",
                    help="also compute the sequential crossover dimension")
-
-    p = sub.add_parser("codegen", help="print generated Python code")
-    p.add_argument("name")
 
     sub.add_parser("table1", help="regenerate Table 1")
 
@@ -130,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static verification & lint (catalog, codegen, executor)")
+        help="static verification & lint (catalog, plans, executor)")
     p.add_argument("--families", default=None,
                    help="comma-separated subset of "
-                        "algorithms,codegen,concurrency,engine,flow "
+                        "algorithms,plans,concurrency,engine,flow "
                         "(default: all)")
     p.add_argument("--algorithms", nargs="*", default=None,
                    help="catalog names to check (default: whole catalog)")
@@ -159,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="self-test: lint a known-bad input (corrupted "
                         "catalog entry or synthetic defective package); "
                         "must exit non-zero")
-    p.add_argument("--max-cse-rank", type=int, default=128,
-                   help="skip (and report) CSE-mode codegen audits above "
-                        "this rank (default: 128)")
     p.add_argument("--baseline", default=None,
                    help="committed baseline file; fingerprinted findings "
                         "are reported but no longer gate")
@@ -515,6 +508,7 @@ def _cmd_lint(args, out) -> int:
     from repro.staticcheck import (LintConfig, render_json, render_sarif,
                                    render_text, run_lint)
     from repro.staticcheck.rules import describe_rules
+    from repro.staticcheck.runner import FAMILIES
 
     if args.rules:
         print(describe_rules(), file=out)
@@ -527,15 +521,13 @@ def _cmd_lint(args, out) -> int:
         return tuple(part.strip() for part in text.split(",") if part.strip())
 
     config = LintConfig(
-        families=_split(args.families) if args.families else
-        ("algorithms", "codegen", "concurrency", "engine", "flow"),
+        families=_split(args.families) if args.families else FAMILIES,
         algorithms=tuple(args.algorithms or ()),
         paths=tuple(args.paths or ()),
         select=_split(args.select) if args.select else (),
         ignore=_split(args.ignore) if args.ignore else (),
         fail_on=args.fail_on,
         seed_defect=args.seed_defect,
-        max_cse_rank=args.max_cse_rank,
         # --update-baseline must refingerprint from scratch, not
         # through the old baseline's filter.
         baseline=None if args.update_baseline else args.baseline,
@@ -753,12 +745,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
         print(analyze_algorithm(args.name, crossover=args.crossover).describe(),
               file=out)
-        return 0
-    if args.command == "codegen":
-        from repro.algorithms.catalog import get_algorithm
-        from repro.codegen.generate import generate_source
-
-        print(generate_source(get_algorithm(args.name)), file=out)
         return 0
     if args.command == "table1":
         from repro.experiments.table1_properties import format_table1

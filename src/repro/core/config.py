@@ -1,19 +1,21 @@
 """Execution configuration: one frozen record of *what* to run.
 
-The engine refactor collapses the repo's four matmul entry points
-(``apa_matmul``, ``threaded_apa_matmul``, ``ExecutionPlan``, compiled
-kernels) behind a single dispatch point — :mod:`repro.core.engine`.
-This module holds the value object those layers share:
+The repo's matmul entry points (``apa_matmul``, ``threaded_apa_matmul``,
+the batched, process, and sharded paths) share one dispatch point —
+:mod:`repro.core.engine` — and one evaluator, the cached
+:class:`~repro.core.plan.ExecutionPlan`.  This module holds the value
+object those layers share:
 
 - :class:`ExecutionConfig` — a frozen dataclass capturing everything
   that selects an execution: the algorithm (or per-level algorithm
   tuple for non-stationary recursion), ``lam``, ``steps``, precision
   policy ``d``, base-case ``gemm``, threading (``threads`` /
   ``strategy`` / ``schedule``), ``plan_cache``, guard policy, fault
-  spec, per-job ``retries`` / ``timeout``, the dispatch ``mode``
-  (auto vs kernel vs threaded), the worker ``executor``
+  spec, per-job ``retries`` / ``timeout``, the worker ``executor``
   and out-of-core ``shard`` geometry, and the ``tuned`` opt-in to the
-  learned dispatch table (:mod:`repro.tune`).
+  learned dispatch table (:mod:`repro.tune`).  No field names the
+  runner: the engine derives sequential vs threaded vs process
+  execution from these knobs.
 - :func:`execution_context` — a process-wide context manager layering
   config overrides under every call that does not set them explicitly.
 - :func:`active_overrides` — the merged override mapping currently in
@@ -49,18 +51,12 @@ from repro.types import GemmFn
 
 __all__ = [
     "BATCH_MODES",
-    "EXECUTION_MODES",
     "EXECUTORS",
     "STAGE_NAMES",
     "ExecutionConfig",
     "active_overrides",
     "execution_context",
 ]
-
-#: Dispatch modes the engine understands.  ``auto`` (the resolved
-#: default) picks the sequential plan or the threaded executor from the
-#: other fields; the rest force one path and reject contradictory knobs.
-EXECUTION_MODES = ("auto", "kernel", "threaded")
 
 #: Batched execution modes (``apa_matmul_batched``).
 BATCH_MODES = ("stacked", "loop")
@@ -139,8 +135,6 @@ class ExecutionConfig:
     #: ``None`` = process default cache, ``False`` = uncached plans
     #: built per call, or a private :class:`repro.core.plan.PlanCache`.
     plan_cache: Any = None
-    #: One of :data:`EXECUTION_MODES` (resolved default ``"auto"``).
-    mode: str | None = None
     #: One of :data:`BATCH_MODES` for 3-D operands.
     batch_mode: str | None = None
     guarded: bool | None = None
@@ -204,16 +198,6 @@ class ExecutionConfig:
             raise ValueError(f"min_dim must be >= 0, got {self.min_dim!r}")
         if self.d is not None and self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
-        if self.mode in ("interpreter", "plan"):
-            raise ValueError(
-                f"mode={self.mode!r} was removed: every product runs "
-                "through an ExecutionPlan.  Use plan_cache=False for an "
-                "uncached plan, or mode='auto' (the default) for the "
-                "cached one")
-        if self.mode is not None and self.mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected one of "
-                f"{EXECUTION_MODES}")
         if self.batch_mode is not None and self.batch_mode not in BATCH_MODES:
             raise ValueError(
                 f"unknown batch_mode {self.batch_mode!r}; expected one of "
@@ -253,35 +237,11 @@ class ExecutionConfig:
 
     def _check_combinations(self) -> None:
         """Reject combinations that no backend can execute."""
-        mode = self.mode
-        if mode == "kernel":
-            if self.steps is not None and self.steps > 1:
-                raise ValueError(
-                    "mode='kernel': generated kernels execute exactly one "
-                    "recursion step; drop steps or use mode='auto'")
-            if self.threads is not None and self.threads > 1:
-                raise ValueError(
-                    "mode='kernel' is single-threaded; use mode='threaded' "
-                    "for threads > 1")
-            for knob, label in (
-                (self.schedule, "schedule"),
-                (self.retries, "retries"),
-                (self.timeout, "timeout"),
-                (self.check_finite, "check_finite"),
-            ):
-                if knob:  # None/0/False all mean "not requested"
-                    raise ValueError(
-                        f"{label!r} only applies to the threaded executor; "
-                        f"it cannot combine with mode={mode!r}")
-        if self.executor == "process":
-            if mode == "kernel":
-                raise ValueError(
-                    "executor='process' runs the scheduled executor; it "
-                    "cannot combine with mode='kernel'")
-            if self.gemm is not None or self.fault is not None:
-                raise ValueError(
-                    "executor='process' runs gemms in worker processes; "
-                    "the gemm/fault seams are thread-executor only")
+        if self.executor == "process" and (
+                self.gemm is not None or self.fault is not None):
+            raise ValueError(
+                "executor='process' runs gemms in worker processes; "
+                "the gemm/fault seams are thread-executor only")
         if self.randomized and self.shard is not None:
             raise ValueError(
                 "randomized=True transforms in-memory operands; the "

@@ -1,12 +1,12 @@
 """The execution engine: one dispatch point for every matmul path.
 
-PRs 1–4 grew four divergent entry points to the paper's pipeline —
-:func:`repro.core.apa_matmul.apa_matmul` (interpreter + plan fast
-path), :func:`repro.parallel.executor.threaded_apa_matmul` (§3.2
-schedules), cached :class:`~repro.core.plan.ExecutionPlan` objects,
-and compiled kernels (:func:`repro.codegen.cache.compile_algorithm`) —
-plus three wrapper backends, each hand-threading its own kwargs.  This
-module collapses them behind one :class:`ExecutionEngine` that
+Every ⟨U,V,W⟩ product evaluates through one artifact, the cached
+:class:`~repro.core.plan.ExecutionPlan` (the paper's §3 write-once
+linear combinations → r gemms → output combinations), reached from
+several entry points — :func:`repro.core.apa_matmul.apa_matmul`,
+:func:`repro.parallel.executor.threaded_apa_matmul` (§3.2 schedules),
+the batched, process, and sharded paths, and the wrapper backends.
+This module puts them behind one :class:`ExecutionEngine` that
 resolves an :class:`~repro.core.config.ExecutionConfig` into a layered
 stack::
 
@@ -16,7 +16,7 @@ stack::
       ↓
     trace    one "apa_matmul" span when a tracer is on (obs layer)
       ↓
-    dispatch → plan | kernel | threaded | process | shard | batched
+    dispatch → plan | threaded | process | shard | batched
                | non-stationary | surrogate | classical gemm
                (``tuned=True`` first fills unset algorithm/steps/executor
                from the learned dispatch table — :mod:`repro.tune`)
@@ -25,8 +25,12 @@ The legacy entry points are now thin shims over this engine; the
 private implementations (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
 ``_batched_matmul_impl``, ``_process_matmul_impl``,
 ``_shard_matmul_impl``) may only be called from this module — the
-staticcheck rule ENG001 machine-enforces that, so new execution modes
-plug in here once instead of into every caller.
+staticcheck rule ENG001 machine-enforces that, so new execution paths
+plug in here once instead of into every caller.  The runner follows
+from the config alone: ``executor='process'`` picks worker processes;
+``threads > 1``, ``retries``, ``timeout``, ``check_finite``,
+``schedule``, or a ``report`` pick the threaded executor; everything
+else runs the sequential plan.
 
 Dispatch overhead matters: the shims sit on the hot path the plan
 cache optimized, so the no-context fast lanes below add only a global
@@ -263,7 +267,6 @@ class ExecutionEngine:
         self._configured = bool(self._overrides)
         self._stack_lock = threading.Lock()
         self._stacks: dict[tuple[Any, ...], Any] = {}
-        self._arenas = threading.local()
 
     # -- config resolution ---------------------------------------------
 
@@ -408,10 +411,10 @@ class ExecutionEngine:
                 check_finite=bool(check_finite), report=report,
                 plan_cache=plan_cache)
         return self.matmul(
-            A, B, algorithm, report=report, mode="threaded",
-            threads=threads, lam=lam, strategy=strategy, schedule=schedule,
-            gemm=gemm, steps=steps, retries=retries, timeout=timeout,
-            check_finite=check_finite, plan_cache=plan_cache)
+            A, B, algorithm, report=report, threads=threads, lam=lam,
+            strategy=strategy, schedule=schedule, gemm=gemm, steps=steps,
+            retries=retries, timeout=timeout, check_finite=check_finite,
+            plan_cache=plan_cache)
 
     def batched(self, A: np.ndarray, B: np.ndarray, algorithm: Any,
                 lam: float | None = None, batch_mode: str | None = None,
@@ -520,9 +523,6 @@ class ExecutionEngine:
             return self._run_nonstationary(A, B, alg, cfg, gemm)
         if alg is None:
             return self._run_classical(A, B, cfg, gemm)
-        mode = cfg.mode or "auto"
-        if mode == "kernel":
-            return self._run_kernel(A, B, alg, cfg, gemm)
         threads = 1 if cfg.threads is None else cfg.threads
         steps = 1 if cfg.steps is None else cfg.steps
         if (cfg.executor or "thread") == "process":
@@ -544,10 +544,9 @@ class ExecutionEngine:
                 steps=steps, retries=cfg.retries or 0, timeout=cfg.timeout,
                 check_finite=bool(cfg.check_finite), report=report,
                 plan_cache=cfg.plan_cache)
-        if mode == "threaded" or (mode == "auto" and (
-                threads > 1 or bool(cfg.retries) or cfg.timeout is not None
+        if (threads > 1 or bool(cfg.retries) or cfg.timeout is not None
                 or bool(cfg.check_finite) or cfg.schedule is not None
-                or report is not None)):
+                or report is not None):
             impl = _threaded_impl
             if impl is None:
                 _load_impls()
@@ -582,8 +581,7 @@ class ExecutionEngine:
                 "to shard each product")
         wants_scheduled = (
             (cfg.threads or 1) > 1 or (cfg.steps or 1) > 1
-            or (cfg.executor or "thread") == "process"
-            or cfg.mode == "threaded")
+            or (cfg.executor or "thread") == "process")
         if wants_scheduled and (cfg.batch_mode or "stacked") == "loop":
             # Loop mode has no cross-item arithmetic to fuse, so each
             # item can take the full scheduled path (threads, steps,
@@ -602,10 +600,10 @@ class ExecutionEngine:
             return np.stack([
                 self._dispatch(A[i], B[i], item_cfg, alg, None, None)
                 for i in range(A.shape[0])])
-        if wants_scheduled or cfg.mode not in (None, "auto"):
+        if wants_scheduled:
             raise ValueError(
                 "batched execution supports only the sequential "
-                "single-step auto path (mode/threads/steps are 2-D "
+                "single-step path (threads/steps/executor are 2-D "
                 "knobs; batch_mode='loop' additionally accepts the "
                 "scheduled knobs per item)")
         impl = _batched_impl
@@ -619,11 +617,10 @@ class ExecutionEngine:
     def _run_classical(self, A: np.ndarray, B: np.ndarray,
                        cfg: ExecutionConfig,
                        gemm: GemmFn | None) -> np.ndarray:
-        if (cfg.mode not in (None, "auto") or (cfg.threads or 1) > 1
-                or (cfg.steps or 1) > 1):
+        if (cfg.threads or 1) > 1 or (cfg.steps or 1) > 1:
             raise ValueError(
                 "algorithm=None selects classical gemm, which has no "
-                "mode/threads/steps knobs")
+                "threads/steps knobs")
         if gemm is None:
             return np.matmul(A, B)
         return gemm(A, B)
@@ -646,10 +643,6 @@ class ExecutionEngine:
                 raise ValueError(
                     f"{alg.name!r} is a surrogate; non-stationary "
                     "execution requires full coefficients")
-        if cfg.mode not in (None, "auto", "threaded"):
-            raise ValueError(
-                f"mode={cfg.mode!r} does not apply to non-stationary "
-                "execution (pass plan_cache=False for uncached plans)")
         if (cfg.executor or "thread") == "process":
             raise ValueError(
                 "non-stationary execution threads a per-level gemm "
@@ -700,34 +693,6 @@ class ExecutionEngine:
                                    cfg.d, cfg.plan_cache)
 
         return level(A, B, 0)
-
-    def _run_kernel(self, A: np.ndarray, B: np.ndarray, alg: Any,
-                    cfg: ExecutionConfig,
-                    gemm: GemmFn | None) -> np.ndarray:
-        """Generated-code path: one compiled recursion step per call."""
-        if alg.is_surrogate:
-            raise ValueError(
-                f"{alg.name!r} is a surrogate; mode='kernel' requires "
-                "full coefficients")
-        from repro.codegen.cache import KernelArena, compile_algorithm
-
-        fn = compile_algorithm(alg)
-        lam = cfg.lam
-        if lam is None:
-            from repro.core.lam import optimal_lambda, precision_bits
-
-            d = cfg.d
-            if d is None:
-                dtype = np.result_type(A.dtype, B.dtype)
-                d = precision_bits(dtype) if dtype.kind == "f" else 52
-            lam = optimal_lambda(alg, d=d, steps=1)
-        # One arena per thread: KernelArena is deliberately not
-        # thread-safe, and pool workers must not share the engine's.
-        arena = getattr(self._arenas, "arena", None)
-        if arena is None:
-            arena = KernelArena()
-            self._arenas.arena = arena
-        return fn(A, B, lam=lam, gemm=gemm, arena=arena)  # type: ignore[no-any-return]
 
     # -- backend-stack instance cache ----------------------------------
 

@@ -64,6 +64,7 @@ __all__ = [
     "block_views",
     "combine",
     "accumulate",
+    "plan_dtype",
     "plannable",
     "acquire_plan",
 ]
@@ -216,20 +217,28 @@ def accumulate(w_terms, products, c_blocks: list[np.ndarray],
             c_blocks[q][...] = 0
 
 
-def plannable(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cast the operands to the one dtype a plan runs at.
+def plan_dtype(a: np.dtype, b: np.dtype) -> np.dtype:
+    """The one dtype a plan runs at for operands of dtypes ``a``, ``b``.
 
     Mixed inexact dtypes promote to ``np.result_type``; integer and
     boolean operands compute in float64 (coefficients such as
     ``lambda**-1`` would otherwise be truncated to the operand dtype).
+    """
+    dtype = np.result_type(a, b)
+    if dtype.kind not in "fc":
+        return np.dtype(np.float64)
+    return dtype
+
+
+def plannable(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cast the operands to :func:`plan_dtype`.
+
     Matching inexact operands pass through uncopied.
     """
     dtype = A.dtype
     if dtype == B.dtype and dtype.kind == "f":
         return A, B
-    dtype = np.result_type(A.dtype, B.dtype)
-    if dtype.kind not in "fc":
-        dtype = np.dtype(np.float64)
+    dtype = plan_dtype(A.dtype, B.dtype)
     return A.astype(dtype, copy=False), B.astype(dtype, copy=False)
 
 

@@ -1,8 +1,8 @@
 """Unified observability: spans, metrics, trace export (one spine).
 
-The runtime grew three unrelated stat APIs (plan cache, worker pool,
-kernel compile cache) and an event log with no clock; this package
-replaces that patchwork with one instrumentation spine:
+The runtime grew unrelated stat APIs (plan cache, worker pool) and an
+event log with no clock; this package replaces that patchwork with one
+instrumentation spine:
 
 - :mod:`repro.obs.tracer` — structured spans + instants on the
   monotonic clock, thread-aware, nestable, **off by default** (the
@@ -13,9 +13,9 @@ replaces that patchwork with one instrumentation spine:
   text exposition, JSONL event stream (robustness events included).
 
 :func:`metrics` is the one-call view: the registry snapshot plus the
-legacy stat APIs (plan cache, pool, kernel cache) absorbed into one
-dict.  See ``docs/OBSERVABILITY.md`` for the span model, the metric
-name catalog, and how to read the traces.
+legacy stat APIs (plan cache, pool) absorbed into one dict.  See
+``docs/OBSERVABILITY.md`` for the span model, the metric name catalog,
+and how to read the traces.
 """
 
 from __future__ import annotations
@@ -68,14 +68,11 @@ def metrics() -> dict[str, Any]:
       :class:`~repro.core.plan.PlanCache` ``stats()``
       (size/maxsize/hits/misses/evictions);
     - ``pool`` — :func:`repro.parallel.pool.pool_stats`
-      (threads/creates/resizes);
-    - ``kernel_cache`` — :func:`repro.codegen.cache.cache_stats`
-      (size/hits/misses).
+      (threads/creates/resizes).
 
     The legacy sections read the live structures at call time (imports
     are lazy so ``repro.obs`` stays dependency-free at import).
     """
-    from repro.codegen.cache import cache_stats
     from repro.core.plan import default_plan_cache
     from repro.parallel.pool import pool_stats
 
@@ -83,5 +80,4 @@ def metrics() -> dict[str, Any]:
         "registry": default_registry().snapshot(),
         "plan_cache": default_plan_cache().stats(),
         "pool": pool_stats(),
-        "kernel_cache": cache_stats(),
     }

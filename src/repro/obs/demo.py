@@ -100,12 +100,12 @@ def run_traced_demo(
     cache = PlanCache()
     # The threaded inner backend comes straight from the engine: the
     # traced scenario needs executor jobs inside a guarded call, which
-    # is exactly the mode='threaded' config.  The engine backend exposes
-    # the ``algorithm``/``lam``/``steps``/``gemm`` knobs the guard's
+    # threads > 1 selects.  The engine backend exposes the
+    # ``algorithm``/``lam``/``steps``/``gemm`` knobs the guard's
     # escalation ladder introspects.
     inner = default_engine().backend(
         algorithm=alg, threads=threads, steps=steps, gemm=injector,
-        plan_cache=cache, mode="threaded")
+        plan_cache=cache)
     guarded = GuardedBackend(inner, log=log, rng_seed=seed)  # lint: ignore[ENG002]: demo needs rng_seed + a gemm-seam injector on the inner backend, knobs the config stack does not expose
 
     with use_tracer() as tracer:

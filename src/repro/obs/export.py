@@ -137,9 +137,8 @@ def render_prometheus(unified: dict[str, Any]) -> str:
     """Text exposition of the :func:`repro.obs.metrics` snapshot.
 
     The ``registry`` section renders with full counter/gauge/histogram
-    typing; the absorbed legacy sections (``plan_cache``, ``pool``,
-    ``kernel_cache``) render as gauges named
-    ``repro_<section>_<key>``.
+    typing; the absorbed legacy sections (``plan_cache``, ``pool``)
+    render as gauges named ``repro_<section>_<key>``.
     """
     lines: list[str] = []
     registry = unified.get("registry", {})

@@ -1,9 +1,8 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-Before this module the runtime's counters lived behind three unrelated
-stat APIs — :meth:`repro.core.plan.PlanCache.stats`,
-:func:`repro.parallel.pool.pool_stats`, and
-:func:`repro.codegen.cache.cache_stats` — plus ad-hoc attributes on
+Before this module the runtime's counters lived behind unrelated stat
+APIs — :meth:`repro.core.plan.PlanCache.stats` and
+:func:`repro.parallel.pool.pool_stats` — plus ad-hoc attributes on
 :class:`~repro.robustness.guard.GuardedBackend`.  The registry gives
 them one spine: components register named instruments once at import
 time (cheap — an attribute read plus a lock-guarded add per update) and

@@ -181,7 +181,7 @@ def _coalesce_key(cfg: ExecutionConfig, A: np.ndarray,
     if (cfg.guarded or cfg.randomized or cfg.stages
             or cfg.fault is not None or cfg.gemm is not None
             or cfg.schedule is not None or (cfg.threads or 1) > 1
-            or cfg.mode not in (None, "auto") or (cfg.steps or 1) > 1
+            or (cfg.steps or 1) > 1
             or cfg.batch_mode not in (None, "stacked")
             or cfg.retries or cfg.timeout is not None or cfg.check_finite
             or cfg.min_dim

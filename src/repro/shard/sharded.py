@@ -40,6 +40,21 @@ __all__ = ["shard_matmul"]
 _DEFAULT_BUDGET = 64 * 1024 * 1024
 
 
+def _result_dtype(A: np.ndarray, B: np.ndarray, algorithm: Any) -> np.dtype:
+    """The dtype the product is computed and returned at.
+
+    A fast algorithm runs on a plan, which computes integer operands in
+    float64 (:func:`~repro.core.plan.plan_dtype`); allocating the output
+    at the integer ``np.result_type`` would truncate the APA result.
+    Classical gemm (``algorithm=None``) keeps ``np.result_type``.
+    """
+    if algorithm is None:
+        return np.result_type(A.dtype, B.dtype)
+    from repro.core.plan import plan_dtype
+
+    return plan_dtype(A.dtype, B.dtype)
+
+
 def _shard_matmul_impl(
     A: np.ndarray,
     B: np.ndarray,
@@ -61,7 +76,7 @@ def _shard_matmul_impl(
     spec = ShardSpec.coerce(cfg.shard)
     M, N = A.shape
     K = B.shape[1]
-    dtype = np.result_type(A.dtype, B.dtype)
+    dtype = _result_dtype(A, B, algorithm)
     inner_cfg = cfg.replace(shard=None)
 
     reg = default_registry()
@@ -157,14 +172,17 @@ def shard_matmul(
         raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
     M, N = A.shape
     K = B.shape[1]
-    dtype = np.result_type(A.dtype, B.dtype)
+    engine = default_engine()
+    # The algorithm may come from an active execution_context, so read
+    # it from the resolved config rather than the argument.
+    dtype = _result_dtype(
+        A, B, engine.resolve(algorithm=algorithm, **overrides).algorithm)
     if shard is None:
         budget = _DEFAULT_BUDGET if memory_budget is None else memory_budget
         spec = recommend_shard_spec(M, N, K, budget,
                                     itemsize=dtype.itemsize)
     else:
         spec = ShardSpec.coerce(shard)
-    engine = default_engine()
     if out is None:
         return engine.matmul(A, B, algorithm, shard=spec, **overrides)
 

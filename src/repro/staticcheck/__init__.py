@@ -1,4 +1,4 @@
-"""Static verification & lint for APA algorithms, generated code, and
+"""Static verification & lint for APA algorithms, execution plans, and
 the execution stack — ``repro lint``.
 
 Three analyzer families, none of which executes a single gemm:
@@ -7,9 +7,10 @@ Three analyzer families, none of which executes a single gemm:
   catalog algorithm's exactness, order ``sigma``, roundoff exponent
   ``phi``, and rank from its Laurent coefficient tensors and diffs them
   against the stored metadata (rules ``APA0xx``);
-- :mod:`repro.staticcheck.codecheck` — audits the output of
-  :mod:`repro.codegen` as an AST: write-once buffers, no unused
-  temporaries, exactly ``r`` gemm calls (rules ``GEN0xx``);
+- :mod:`repro.staticcheck.codecheck` — audits the term lists every
+  :class:`~repro.core.plan.ExecutionPlan` evaluates: exactly ``r``
+  write-once S/T/W lists, no dead product, every output block of C
+  written (rules ``GEN0xx``);
 - :mod:`repro.staticcheck.astlint` — concurrency/numerics linting of
   the source tree: unlocked shared state touched from worker threads,
   non-reentrant RNG use, bare ``except`` (rules ``PAR0xx``/``NUM0xx``);

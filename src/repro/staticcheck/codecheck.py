@@ -1,179 +1,122 @@
-"""Family 2: AST audit of generated kernels (``GEN0xx``).
+"""Family 2: term-list audit of execution plans (``GEN0xx``).
 
-:mod:`repro.codegen.generate` emits straight-line Python implementing one
-recursive step of an algorithm.  The emitted module has a rigid contract
-that ``mode='kernel'`` relies on and that CSE rewrites must preserve:
+Every ⟨U,V,W⟩ product runs through :class:`repro.core.plan.ExecutionPlan`,
+whose term lists are the paper's §3 code-generation artifact: ``r``
+write-once linear combinations of A blocks (``s_terms``) and of B
+blocks (``t_terms``), ``r`` gemm calls, then ``r`` scatter lists into
+the output blocks of C (``w_terms``).  This family rebuilds those lists
+with :func:`repro.core.plan.term_lists` from each algorithm's
+coefficients at its default ``lambda`` in float32 (the paper's training
+precision, where a coefficient is likeliest to underflow) and checks
+the contract the evaluator and the addition-count analytics rely on:
 
-- it parses and compiles (``GEN000``);
-- it contains exactly ``r`` calls to ``gemm``, each bound to a product
-  buffer ``P{t}`` (``GEN001``);
-- operand blocks (``A{i}{j}``/``B{i}{j}``), products (``P{t}``), and CSE
-  temporaries (``Su*``/``Tv*``/``Wc*``) are written exactly once
-  (``GEN002``) — the write-once strategy the addition-count analytics
-  assume;
-- every such buffer is read after being written (``GEN003``) — an
-  unused temporary means CSE emitted a dead definition;
-- the ``m*k`` output blocks of ``C`` are each stored exactly once
-  (``GEN004``).
+- exactly ``rank`` S, T and W lists (``GEN001``);
+- write-once: no block index repeats within one list, and every index
+  names a real block of A, B or C (``GEN002``);
+- no dead product: every S/T list is non-empty (a zero operand) and
+  every W list is non-empty (a product nobody reads) (``GEN003``);
+- full coverage: each of the ``m*k`` output blocks of C is reached by
+  some W list (``GEN004``).
 
-The audit never executes the module — it walks the AST only.
+A coefficient that evaluates to exactly zero at the default ``lambda``
+drops out of the term lists, so the audit also catches a Laurent entry
+that cancels or underflows.  Nothing here runs a gemm.
 """
 
 from __future__ import annotations
 
-import ast
-import re
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.algorithms.spec import BilinearAlgorithm
 from repro.staticcheck.findings import Finding, Severity
 
-__all__ = ["audit_generated_source", "check_codegen"]
-
-#: Buffer names covered by the write-once / no-dead-definition contract.
-_BUFFER_RE = re.compile(r"^(A\d+|B\d+|P\d+|Su\d+|Tv\d+|Wc\d+)$")
+__all__ = ["audit_term_lists", "check_plans"]
 
 
-class _ModuleScan(ast.NodeVisitor):
-    """Collect stores, loads, gemm calls, and C-block stores."""
-
-    def __init__(self) -> None:
-        self.buffer_stores: dict[str, list[int]] = {}
-        self.loads: set[str] = set()
-        self.gemm_calls: list[tuple[int, str | None]] = []  # (line, target)
-        self.c_stores: list[tuple[int, str]] = []           # (line, slice text)
-        self._assign_targets: list[str] = []
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        targets: list[str] = []
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                name = target.id
-                targets.append(name)
-                if _BUFFER_RE.match(name):
-                    self.buffer_stores.setdefault(name, []).append(node.lineno)
-            elif isinstance(target, ast.Subscript):
-                base = target.value
-                if isinstance(base, ast.Name) and base.id == "C":
-                    self.c_stores.append(
-                        (node.lineno, ast.unparse(target.slice)))
-                self.visit(base)
-        if (isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id == "gemm"):
-            self.gemm_calls.append(
-                (node.lineno, targets[0] if targets else None))
-        self.visit(node.value)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.loads.add(node.id)
-
-
-def audit_generated_source(
-    source: str,
-    alg: BilinearAlgorithm,
-    location: str | None = None,
-) -> list[Finding]:
-    """Audit one generated module against the ``GEN0xx`` contract."""
-    location = location or f"codegen:{alg.name}"
+def _audit_side(terms: tuple, side: str, n_blocks: int,
+                location: str) -> list[Finding]:
+    """GEN002/GEN003 over one of the S, T or W families."""
     findings: list[Finding] = []
-    try:
-        tree = ast.parse(source)
-        compile(tree, location, "exec")
-    except SyntaxError as exc:
-        findings.append(Finding(
-            "GEN000", Severity.ERROR, location,
-            f"generated module does not parse: {exc.msg}",
-            detail=f"line {exc.lineno}",
-        ))
-        return findings
-
-    scan = _ModuleScan()
-    scan.visit(tree)
-
-    r = alg.rank
-    if len(scan.gemm_calls) != r:
-        findings.append(Finding(
-            "GEN001", Severity.ERROR, location,
-            f"expected exactly {r} gemm calls, found {len(scan.gemm_calls)}",
-        ))
-    for line, target in scan.gemm_calls:
-        if target is None or not re.match(r"^P\d+$", target):
-            findings.append(Finding(
-                "GEN001", Severity.ERROR, location,
-                f"gemm call at line {line} is not bound to a product "
-                f"buffer (target {target!r})",
-            ))
-
-    for name, lines in sorted(scan.buffer_stores.items()):
-        if len(lines) > 1:
-            findings.append(Finding(
-                "GEN002", Severity.ERROR, location,
-                f"buffer {name} assigned {len(lines)} times "
-                f"(lines {', '.join(map(str, lines))}); the contract is "
-                "write-once",
-            ))
-        if name not in scan.loads:
+    for i, combo in enumerate(terms):
+        if not combo:
             findings.append(Finding(
                 "GEN003", Severity.ERROR, location,
-                f"buffer {name} (line {lines[0]}) is assigned but never "
-                "read",
+                f"dead product {i}: its {side} list is empty",
             ))
-
-    expected_outputs = alg.m * alg.k
-    if len(scan.c_stores) != expected_outputs:
-        findings.append(Finding(
-            "GEN004", Severity.ERROR, location,
-            f"expected {expected_outputs} output-block stores into C, "
-            f"found {len(scan.c_stores)}",
-        ))
-    seen_slices: dict[str, int] = {}
-    for line, sl in scan.c_stores:
-        if sl in seen_slices:
+        indices = [index for index, _ in combo]
+        repeated = sorted({p for p in indices if indices.count(p) > 1})
+        if repeated:
             findings.append(Finding(
-                "GEN004", Severity.ERROR, location,
-                f"output block C[{sl}] stored twice "
-                f"(lines {seen_slices[sl]} and {line})",
+                "GEN002", Severity.ERROR, location,
+                f"{side} list {i} repeats block(s) {repeated}; the "
+                "contract is write-once",
             ))
-        else:
-            seen_slices[sl] = line
+        stray = sorted({p for p in indices if not 0 <= p < n_blocks})
+        if stray:
+            findings.append(Finding(
+                "GEN002", Severity.ERROR, location,
+                f"{side} list {i} names block(s) {stray} outside "
+                f"0..{n_blocks - 1}",
+            ))
     return findings
 
 
-def check_codegen(
-    names: Sequence[str] | None = None,
-    max_cse_rank: int = 128,
-) -> tuple[list[Finding], int, int]:
-    """Generate and audit every real catalog algorithm.
+def audit_term_lists(
+    s_terms: tuple,
+    t_terms: tuple,
+    w_terms: tuple,
+    alg: BilinearAlgorithm,
+    location: str | None = None,
+) -> list[Finding]:
+    """Audit one plan's term lists against the ``GEN0xx`` contract."""
+    location = location or f"plan:{alg.name}"
+    m, n, k, r = alg.m, alg.n, alg.k, alg.rank
+    findings: list[Finding] = []
+    counts = (len(s_terms), len(t_terms), len(w_terms))
+    if counts != (r, r, r):
+        findings.append(Finding(
+            "GEN001", Severity.ERROR, location,
+            f"expected exactly {r} S, T and W lists, found "
+            f"{counts[0]}, {counts[1]} and {counts[2]}",
+        ))
+    findings += _audit_side(s_terms, "S", m * n, location)
+    findings += _audit_side(t_terms, "T", n * k, location)
+    findings += _audit_side(w_terms, "W", m * k, location)
+    reached = {q for combo in w_terms for q, _ in combo}
+    missing = sorted(set(range(m * k)) - reached)
+    if missing:
+        findings.append(Finding(
+            "GEN004", Severity.ERROR, location,
+            f"output block(s) {missing} of C are never written "
+            f"({m * k} expected)",
+        ))
+    return findings
 
-    Every algorithm is audited in plain mode; the CSE mode is audited
-    only up to ``max_cse_rank`` (greedy pairwise CSE on the rank-490
-    rules costs ~20 s of pure source generation, and the CSE rewriter's
-    contract is fully exercised by the smaller rules).  Returns
-    ``(findings, modules_audited, cse_skipped)`` so the runner can
-    report the cap instead of hiding it.
+
+def check_plans(
+    names: Sequence[str] | None = None,
+) -> tuple[list[Finding], int]:
+    """Audit the float32 term lists of every real catalog algorithm.
+
+    Returns ``(findings, algorithms_audited)``; surrogates (no
+    coefficients) are skipped.
     """
     from repro.algorithms.catalog import get_algorithm, list_algorithms
-    from repro.codegen.generate import generate_source
+    from repro.core.lam import optimal_lambda
+    from repro.core.plan import term_lists
 
     findings: list[Finding] = []
     audited = 0
-    cse_skipped = 0
     selected = names if names is not None else list_algorithms("real")
     for name in selected:
         alg = get_algorithm(name)
         if alg.is_surrogate:
             continue
         assert isinstance(alg, BilinearAlgorithm)
-        modes: Iterable[bool] = (False, True)
-        if alg.rank > max_cse_rank:
-            modes = (False,)
-            cse_skipped += 1
-        for cse in modes:
-            source = generate_source(alg, cse=cse)
-            tag = f"codegen:{name}" + (":cse" if cse else "")
-            findings.extend(audit_generated_source(alg=alg, source=source,
-                                                   location=tag))
-            audited += 1
-    return findings, audited, cse_skipped
+        terms = term_lists(*alg.evaluate(optimal_lambda(alg, d=23),
+                                         dtype=np.float32))
+        findings.extend(audit_term_lists(*terms, alg))
+        audited += 1
+    return findings, audited

@@ -1,7 +1,7 @@
 """The structured finding type shared by every analyzer family.
 
 A :class:`Finding` pins one rule violation to one location — a catalog
-entry (``catalog:bini322``), a generated module (``codegen:strassen444``),
+entry (``catalog:bini322``), a plan's term lists (``plan:strassen444``),
 or a source line (``src/repro/parallel/executor.py:42``) — with a severity
 that drives the CI gate (``repro lint --fail-on error``).
 """
@@ -45,7 +45,7 @@ class Finding:
     severity:
         :class:`Severity`; ``ERROR`` findings fail the default CI gate.
     location:
-        Where: ``catalog:NAME``, ``codegen:NAME``, or ``PATH:LINE``.
+        Where: ``catalog:NAME``, ``plan:NAME``, or ``PATH:LINE``.
     message:
         One-line human description of the violation.
     detail:

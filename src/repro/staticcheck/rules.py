@@ -5,7 +5,7 @@ Rule families
 ``APA0xx``
     Symbolic algorithm verification (:mod:`repro.staticcheck.algcheck`).
 ``GEN0xx``
-    Generated-code audit (:mod:`repro.staticcheck.codecheck`).
+    Execution-plan term-list audit (:mod:`repro.staticcheck.codecheck`).
 ``PAR0xx``
     Concurrency lints over the execution stack
     (:mod:`repro.staticcheck.astlint`).
@@ -72,20 +72,19 @@ _RULE_LIST: tuple[RuleInfo, ...] = (
     RuleInfo("APA005", Severity.ERROR,
              "catalog tables inconsistent: TABLE1 row and "
              "EXPECTED_PROPERTIES disagree for the same name"),
-    # -- generated-code audit -----------------------------------------
-    RuleInfo("GEN000", Severity.ERROR,
-             "generated module does not parse/compile"),
+    # -- plan term-list audit -----------------------------------------
     RuleInfo("GEN001", Severity.ERROR,
-             "gemm-call structure broken: the module must contain exactly "
-             "r gemm calls, each bound to a product buffer"),
+             "rank mismatch: a plan must hold exactly r S, T and W term "
+             "lists"),
     RuleInfo("GEN002", Severity.ERROR,
-             "write-once violation: an operand/product/temporary buffer "
-             "is assigned more than once"),
+             "write-once violation: a block index repeats within one term "
+             "list, or names a block outside the operand"),
     RuleInfo("GEN003", Severity.ERROR,
-             "unused temporary: an assigned buffer is never read"),
+             "dead product: an S/T list is empty (zero operand) or a W "
+             "list is empty (product never read)"),
     RuleInfo("GEN004", Severity.ERROR,
-             "output coverage broken: the m*k output blocks must each be "
-             "stored exactly once"),
+             "output coverage broken: some of the m*k output blocks of C "
+             "are never written"),
     # -- concurrency lints --------------------------------------------
     RuleInfo("PAR001", Severity.ERROR,
              "shared mutable state written without holding a lock: a "

@@ -18,7 +18,7 @@ from repro.staticcheck.findings import Finding, Severity, dedupe_findings
 __all__ = ["LintConfig", "LintResult", "run_lint", "FAMILIES", "SEED_DEFECTS"]
 
 #: Analyzer families in execution order.
-FAMILIES: tuple[str, ...] = ("algorithms", "codegen", "concurrency",
+FAMILIES: tuple[str, ...] = ("algorithms", "plans", "concurrency",
                              "engine", "flow")
 
 #: Known seeded defects for gate self-tests (``--seed-defect``).
@@ -45,7 +45,7 @@ class LintConfig:
     families:
         Subset of :data:`FAMILIES` to run.
     algorithms:
-        Catalog names for the ``algorithms``/``codegen`` families
+        Catalog names for the ``algorithms``/``plans`` families
         (empty = the whole catalog).
     paths:
         Files/directories for the ``concurrency`` family (empty = the
@@ -65,9 +65,6 @@ class LintConfig:
         for this run only — a corrupted catalog entry (algorithms
         family) or a synthetic defective package (flow family) — so CI
         can prove the gate trips.  The catalog cache is never touched.
-    max_cse_rank:
-        Rank cap above which the codegen family skips the (expensive)
-        CSE-mode audit; skips are counted in the result, never silent.
     baseline:
         Path to a committed baseline file
         (:mod:`repro.staticcheck.baseline`); findings fingerprinted
@@ -83,7 +80,6 @@ class LintConfig:
     fail_on: str = "error"
     growth_threshold: float = DEFAULT_GROWTH_THRESHOLD
     seed_defect: str | None = None
-    max_cse_rank: int = 128
     baseline: str | None = None
 
     def __post_init__(self) -> None:
@@ -186,20 +182,12 @@ def run_lint(config: LintConfig | None = None) -> LintResult:
         checked["algorithms"] = len(names if names is not None
                                     else list_algorithms("all"))
 
-    if "codegen" in config.families:
-        from repro.algorithms.catalog import get_algorithm, list_algorithms
-        from repro.staticcheck.codecheck import check_codegen
+    if "plans" in config.families:
+        from repro.staticcheck.codecheck import check_plans
 
-        real = [n for n in (names if names is not None
-                            else list_algorithms("real"))
-                if not get_algorithm(n).is_surrogate]
-        gen_findings, audited, cse_skipped = check_codegen(
-            names=real, max_cse_rank=config.max_cse_rank)
+        gen_findings, audited = check_plans(names=names)
         findings.extend(gen_findings)
-        checked["generated modules"] = audited
-        if cse_skipped:
-            checked[f"CSE audits skipped (rank > {config.max_cse_rank})"] = (
-                cse_skipped)
+        checked["plan term lists"] = audited
 
     if "concurrency" in config.families:
         from repro.staticcheck.astlint import lint_paths

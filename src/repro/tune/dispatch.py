@@ -145,14 +145,13 @@ def consult(A: Any, B: Any, cfg: "ExecutionConfig") -> "ExecutionConfig":
         # gemm, and grafting steps/executor onto it would be invalid.
         return cfg
     changes: dict[str, Any] = {"algorithm": cell.algorithm}
-    if cfg.steps is None and cell.steps != 1 and cfg.mode != "kernel":
+    if cfg.steps is None and cell.steps != 1:
         changes["steps"] = cell.steps
     if (cfg.executor is None and cell.executor is not None
-            and cfg.gemm is None and cfg.fault is None
-            and cfg.mode in (None, "auto")):
-        # executor='process' is incompatible with gemm/fault seams and
-        # forced sequential modes; an explicit conflict means the user
-        # pinned those knobs, so the tuned executor quietly yields.
+            and cfg.gemm is None and cfg.fault is None):
+        # executor='process' is incompatible with gemm/fault seams; an
+        # explicit conflict means the user pinned those knobs, so the
+        # tuned executor quietly yields.
         changes["executor"] = cell.executor
     if cell.randomized and cfg.randomized is None and cfg.shard is None:
         # randomized is incompatible with sharded out-of-core execution,

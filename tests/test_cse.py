@@ -1,18 +1,14 @@
-"""Tests for common-subexpression elimination and CSE code generation."""
+"""Tests for common-subexpression elimination."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.algorithms.catalog import get_algorithm, list_algorithms
-from repro.codegen.cache import clear_cache, compile_algorithm
-from repro.codegen.cse import (
+from repro.algorithms.cse import (
     eliminate_common_subexpressions,
     naive_additions,
 )
-from repro.core.apa_matmul import apa_matmul
-from repro.core.lam import optimal_lambda
 
 
 #: The greedy census is quadratic in the coefficient count; the XL
@@ -97,33 +93,3 @@ class TestEliminationAlgebra:
         alg = get_algorithm("strassen444")
         plan = eliminate_common_subexpressions(alg.U, max_temps=3)
         assert len(plan.temps) <= 3
-
-
-class TestCseCodegen:
-    @pytest.mark.parametrize("name", CSE_TEST_ALGORITHMS)
-    def test_cse_code_matches_interpreter_within_bound(self, name, rng):
-        """CSE reorders float additions, so equality is up to the
-        algorithm's own error scale at the optimal lambda."""
-        alg = get_algorithm(name)
-        lam = optimal_lambda(alg, d=52)
-        fn = compile_algorithm(alg, cse=True)
-        A = rng.random((41, 33))
-        B = rng.random((33, 29))
-        got = fn(A, B, lam=lam)
-        want = apa_matmul(A, B, alg, lam=lam)
-        scale = np.linalg.norm(A @ B)
-        rel = np.linalg.norm(got - want) / scale
-        assert rel < 10 * alg.error_bound(d=52)
-
-    def test_cse_source_contains_temporaries(self):
-        fn = compile_algorithm(get_algorithm("winograd222"), cse=True)
-        assert "Su0 = " in fn.__source__
-        assert "Wc0 = " in fn.__source__
-
-    def test_cse_and_plain_cached_separately(self):
-        clear_cache()
-        plain = compile_algorithm(get_algorithm("winograd222"))
-        with_cse = compile_algorithm(get_algorithm("winograd222"), cse=True)
-        assert plain is not with_cse
-        assert "Su0" not in plain.__source__
-        clear_cache()

@@ -27,7 +27,7 @@ from repro.core.batched import apa_matmul_batched
 from repro.core.config import ExecutionConfig, execution_context
 from repro.core.engine import ExecutionEngine, default_engine
 from repro.core.plan import PlanCache
-from repro.parallel.executor import threaded_apa_matmul
+from repro.parallel.executor import ExecutionReport, threaded_apa_matmul
 from repro.robustness.guard import GuardedBackend
 from repro.robustness.inject import FaultSpec, faulty_gemm
 from tests._reference_bilinear import reference_matmul
@@ -103,16 +103,6 @@ class TestCrossPathBitIdentity:
         assert np.array_equal(apa_matmul(A, B, "strassen222"), expected)
         assert np.array_equal(
             default_engine().matmul(A, B, "strassen222"), expected)
-
-    def test_kernel_mode_matches_reference_to_roundoff(self):
-        # Compiled kernels reassociate the combinations, so this path
-        # is allclose-level (same contract as tests/test_codegen.py),
-        # not bit-identical.
-        alg = get_algorithm("strassen222")
-        A, B = _operands((32, 32, 32), np.float64)
-        expected = reference_matmul(A, B, alg)
-        K = default_engine().matmul(A, B, alg, mode="kernel")
-        assert np.allclose(K, expected, rtol=1e-9)
 
     def test_classical_none_algorithm(self):
         A, B = _operands((20, 24, 16), np.float64)
@@ -325,6 +315,27 @@ class TestPrecedence:
             t.join()
         assert np.array_equal(result["C"], deeper)
 
+    @pytest.mark.parametrize("name", ["strassen222", "bini322"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_thread_shim_under_context_matches_no_context(
+            self, name, dtype):
+        # Under a context the threaded shim goes through the engine's
+        # runner rule: threads=1 with no report/retries/timeout/
+        # check_finite/schedule runs the sequential plan, and must stay
+        # bitwise equal to the no-context threaded call.
+        alg = get_algorithm(name)
+        A, B = _operands((24, 20, 28), dtype)
+        plain = threaded_apa_matmul(A, B, alg, threads=1)
+        report = ExecutionReport()
+        with execution_context(tuned=False):
+            inside = threaded_apa_matmul(A, B, alg, threads=1)
+            reported = threaded_apa_matmul(A, B, alg, threads=1,
+                                           report=report)
+        assert inside.dtype == plain.dtype
+        assert np.array_equal(inside, plain)
+        assert np.array_equal(reported, plain)
+        assert report.jobs and not report.failed_jobs
+
     def test_engine_config_beats_context(self):
         alg = get_algorithm("bini322")
         A, B = _operands((24, 20, 28), np.float32)
@@ -350,8 +361,16 @@ class TestConfigValidation:
         dict(timeout=0.0),
         dict(min_dim=-1),
         dict(d=0),
-        dict(mode="warp"),
         dict(batch_mode="tiled"),
+    ])
+    def test_invalid_configs_raise(self, kwargs):
+        with pytest.raises(ValueError):
+            ExecutionConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mode="auto"),
+        dict(mode="threaded"),
+        dict(mode="warp"),
         dict(mode="kernel", steps=2),
         dict(mode="kernel", threads=2),
         dict(mode="interpreter", threads=2),
@@ -361,13 +380,19 @@ class TestConfigValidation:
         dict(mode="kernel", retries=1),
         dict(mode="interpreter"),
         dict(mode="plan"),
+        dict(mode="interpreter", executor="process"),
     ])
-    def test_invalid_configs_raise(self, kwargs):
-        # The removed modes name their replacements.
-        match = (r"plan_cache=False.*mode='auto'"
-                 if kwargs.get("mode") in ("interpreter", "plan") else None)
-        with pytest.raises(ValueError, match=match):
+    def test_mode_is_an_unknown_field(self, kwargs):
+        # The runner follows from executor/threads/etc.; no field
+        # selects it, and a stale mode= fails loudly by name.
+        with pytest.raises(TypeError, match="mode"):
             ExecutionConfig(**kwargs)
+        A, B = _operands((8, 8, 8), np.float64)
+        with pytest.raises(TypeError, match="mode"):
+            default_engine().matmul(A, B, "strassen222", **kwargs)
+        with pytest.raises(TypeError, match="mode"):
+            with execution_context(**kwargs):
+                pass  # pragma: no cover
 
     def test_merged_rejects_unknown_keys(self):
         with pytest.raises(TypeError, match="threds"):

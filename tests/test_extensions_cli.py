@@ -89,11 +89,6 @@ class TestCLI:
         assert code == 1
         assert "surrogate" in text
 
-    def test_codegen(self):
-        code, text = run_cli("codegen", "strassen222")
-        assert code == 0
-        assert "def apa_mm_strassen222(" in text
-
     def test_table1(self):
         code, text = run_cli("table1")
         assert code == 0

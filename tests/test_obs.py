@@ -390,11 +390,9 @@ class TestJsonl:
 class TestMetricsView:
     def test_absorbs_legacy_stat_apis(self):
         unified = metrics()
-        assert set(unified) == {"registry", "plan_cache", "pool",
-                                "kernel_cache"}
+        assert set(unified) == {"registry", "plan_cache", "pool"}
         assert {"size", "hits", "misses"} <= set(unified["plan_cache"])
         assert {"threads", "creates", "resizes"} == set(unified["pool"])
-        assert {"size", "hits", "misses"} == set(unified["kernel_cache"])
 
     def test_guard_counters_reach_registry(self, rng):
         from repro.core.backend import make_backend
@@ -500,8 +498,7 @@ class TestCli:
         out = io.StringIO()
         assert main(["metrics", "--format", "json"], out=out) == 0
         unified = json.loads(out.getvalue())
-        assert set(unified) == {"registry", "plan_cache", "pool",
-                                "kernel_cache"}
+        assert set(unified) == {"registry", "plan_cache", "pool"}
 
     def test_obs_overhead_smoke(self):
         from repro.cli import main

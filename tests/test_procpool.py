@@ -124,13 +124,6 @@ class TestPlumbing:
                                     alg, executor="process", threads=2,
                                     gemm=np.matmul)
 
-    def test_interpreter_mode_combination_rejected(self, rng):
-        # mode='interpreter' is gone; the config names its replacement.
-        with pytest.raises(ValueError, match="plan_cache=False"):
-            default_engine().matmul(rng.random((8, 8)), rng.random((8, 8)),
-                                    get_algorithm("strassen222"),
-                                    executor="process", mode="interpreter")
-
     def test_nonstationary_rejected(self, rng):
         algs = [get_algorithm("strassen222"), get_algorithm("bini322")]
         with pytest.raises(ValueError, match="non-stationary"):

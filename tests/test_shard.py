@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.analysis import predicted_error_bound
 from repro.algorithms.catalog import get_algorithm
 from repro.core.apa_matmul import apa_matmul
 from repro.core.engine import default_engine
@@ -165,6 +166,38 @@ class TestGeometry:
         budget = 8 * 1024 * 1024
         spec = recommend_shard_spec(10_000, 10_000, 10_000, budget)
         assert spec.in_flight_bytes(8) <= budget
+
+
+class TestIntegerOperands:
+    """A plan computes integer operands in float64; the sharded output
+    must be allocated at that dtype, not truncated to the integer one."""
+
+    @staticmethod
+    def _int_operands():
+        A = np.arange(64).reshape(8, 8)
+        B = (np.arange(64).reshape(8, 8) * 7) % 13 - 6
+        return A, B
+
+    @pytest.mark.parametrize("name", ["bini322", "strassen222"])
+    def test_apa_product_is_float64_within_bound(self, name, tmp_path):
+        A, B = self._int_operands()
+        exact = A @ B
+        bound = predicted_error_bound(name, d=52, inner_dim=A.shape[1])
+        C = shard_matmul(A, B, name, shard=4)
+        out = shard_matmul(A, B, name, shard=4, out=tmp_path / "C.npy")
+        unsharded = default_engine().matmul(A, B, name)
+        assert C.dtype == out.dtype == unsharded.dtype == np.float64
+        assert np.array_equal(np.asarray(out), C)
+        # The guard's normwise yardstick: ||C - AB|| / (||A|| ||B||).
+        rel = np.linalg.norm(C - exact) / (np.linalg.norm(A)
+                                           * np.linalg.norm(B))
+        assert rel <= bound
+
+    def test_classical_keeps_integer_dtype(self):
+        A, B = self._int_operands()
+        C = shard_matmul(A, B, None, shard=4)
+        assert C.dtype == np.result_type(A, B)
+        assert np.array_equal(C, A @ B)
 
 
 class TestPlumbing:

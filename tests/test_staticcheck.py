@@ -59,7 +59,7 @@ def test_render_text_orders_errors_first():
 
 def test_rule_catalog_is_complete_and_described():
     for rid in ("APA000", "APA001", "APA002", "APA003", "APA004", "APA005",
-                "GEN000", "GEN001", "GEN002", "GEN003", "GEN004",
+                "GEN001", "GEN002", "GEN003", "GEN004",
                 "PAR001", "PAR002", "NUM001", "NUM002"):
         assert rid in RULES
     text = describe_rules()
