@@ -19,7 +19,7 @@ from repro.experiments.fig3_matmul_perf import (
     format_fig3,
     run_fig3,
 )
-from repro.parallel.executor import threaded_apa_matmul
+from repro.core.engine import default_engine
 
 
 def _dims() -> tuple[int, ...]:
@@ -51,7 +51,7 @@ def test_fig3_real_executor_product(benchmark):
     A = rng.random((n, n)).astype(np.float32)
     B = rng.random((n, n)).astype(np.float32)
     alg = get_algorithm("strassen444")
-    C = benchmark(threaded_apa_matmul, A, B, alg, 4)
+    C = benchmark(default_engine().matmul, A, B, alg, threads=4)
     assert np.allclose(C, A @ B, rtol=1e-3, atol=1e-3)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from conftest import bench_scale, emit
 
 from repro.algorithms.catalog import PAPER_ALGORITHMS
-from repro.core.backend import make_backend
+from repro.core.engine import default_engine
 from repro.data.synth_mnist import load_synth_mnist
 from repro.experiments.fig5_mnist_accuracy import format_fig5, run_fig5
 from repro.nn.mlp import build_accuracy_mlp
@@ -43,7 +43,8 @@ def test_fig5_one_apa_training_epoch(benchmark):
     """One epoch of the accuracy network with Bini products in the middle
     layer — the repeated unit of Fig 5."""
     (x, y), _ = load_synth_mnist(n_train=1_500, n_test=0, seed=0)
-    model = build_accuracy_mlp(hidden_backend=make_backend("bini322"),
+    backend = default_engine().backend(algorithm="bini322")
+    model = build_accuracy_mlp(hidden_backend=backend,
                                rng=np.random.default_rng(0))
 
     def one_epoch():

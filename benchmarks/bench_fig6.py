@@ -12,7 +12,7 @@ import pytest
 from conftest import bench_scale, emit
 
 from repro.algorithms.catalog import get_algorithm
-from repro.core.backend import make_backend
+from repro.core.engine import default_engine
 from repro.experiments.fig6_mlp_training import (
     FIG6_WIDTHS_PAPER,
     format_fig6,
@@ -50,7 +50,8 @@ def test_fig6_real_training_step(benchmark):
     """A real forward+backward+update step of the ParaDnn MLP with an APA
     hidden backend (width reduced for CI)."""
     width = 1024 if bench_scale() == "paper" else 256
-    model = build_paradnn_mlp(width, hidden_backend=make_backend("strassen444"),
+    backend = default_engine().backend(algorithm="strassen444")
+    model = build_paradnn_mlp(width, hidden_backend=backend,
                               rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x = rng.random((width, 784)).astype(np.float32)

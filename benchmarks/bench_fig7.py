@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import bench_scale, emit
 
-from repro.core.backend import make_backend
+from repro.core.engine import default_engine
 from repro.experiments.fig7_vgg import FIG7_BATCHES_PAPER, format_fig7, run_fig7
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import SGD
@@ -40,7 +40,8 @@ def test_fig7_real_fc_training_step(benchmark):
     scale = 8 if bench_scale() == "ci" else 1
     sizes = (25088 // scale, 4096 // scale, 4096 // scale, 1000 // scale)
     batch = 2048 // scale
-    model = build_vgg19_fc(backend=make_backend("strassen422"), sizes=sizes,
+    backend = default_engine().backend(algorithm="strassen422")
+    model = build_vgg19_fc(backend=backend, sizes=sizes,
                            rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x = rng.random((batch, sizes[0])).astype(np.float32)

@@ -15,7 +15,8 @@ import argparse
 
 import numpy as np
 
-from repro.core.backend import make_backend
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import default_engine
 from repro.data.synth_mnist import load_synth_mnist
 from repro.nn.mlp import build_accuracy_mlp
 
@@ -40,7 +41,8 @@ def main() -> None:
 
     results = {}
     for name in ["classical"] + args.algorithms:
-        backend = make_backend(None if name == "classical" else name)
+        backend = (ClassicalBackend() if name == "classical"
+                   else default_engine().backend(algorithm=name))
         model = build_accuracy_mlp(hidden_backend=backend,
                                    rng=np.random.default_rng(args.seed))
         print(f"\n=== {name} ===")

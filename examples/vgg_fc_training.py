@@ -19,7 +19,8 @@ import time
 
 import numpy as np
 
-from repro.core.backend import make_backend
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import default_engine
 from repro.experiments.fig7_vgg import format_fig7, run_fig7
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import SGD
@@ -30,7 +31,9 @@ def real_training_step(scale: int, batch: int, backend_name: str) -> None:
     sizes = tuple(max(10, s // scale) for s in VGG19_FC_SIZES)
     print(f"real FC head at 1/{scale} width: {sizes}, batch {batch}, "
           f"backend {backend_name}")
-    model = build_vgg19_fc(backend=make_backend(backend_name), sizes=sizes,
+    backend = (ClassicalBackend() if backend_name == "classical"
+               else default_engine().backend(algorithm=backend_name))
+    model = build_vgg19_fc(backend=backend, sizes=sizes,
                            rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x = rng.random((batch, sizes[0])).astype(np.float32)

@@ -30,10 +30,8 @@ from repro.algorithms import (
     verify_algorithm,
 )
 from repro.core import (
-    APABackend,
     ClassicalBackend,
     apa_matmul,
-    make_backend,
     optimal_lambda,
     precision_bits,
     tune_lambda,
@@ -52,7 +50,5 @@ __all__ = [
     "optimal_lambda",
     "tune_lambda",
     "precision_bits",
-    "APABackend",
     "ClassicalBackend",
-    "make_backend",
 ]

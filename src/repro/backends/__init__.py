@@ -14,10 +14,10 @@ Entry points:
   nearly all code should reach them.
 - :meth:`BackendStack.from_config` — standalone construction for tools
   and tests.
-- The legacy wrappers (``APABackend``, ``GuardedBackend``,
-  ``FaultyBackend``, ``make_backend``) remain as bit-identical shims;
-  new wrapping behavior should be a stage here, not a fourth wrapper
-  class (``repro lint`` rule ENG002 enforces this).
+- ``engine.backend(guarded=True)`` hands back the stack's
+  :class:`GuardedBackend`; new wrapping behavior should be a stage
+  here, not a second wrapper class (``repro lint`` rule ENG002
+  enforces this).
 
 See ``docs/BACKENDS.md`` for the guided tour.
 """
@@ -38,7 +38,6 @@ from repro.backends.registry import (
     register_stage,
     stage_names,
 )
-from repro.backends.resolve import resolve_algorithm, resolve_backend_algorithm
 from repro.backends.stack import BackendStack
 from repro.backends.stages import (
     GuardStage,
@@ -65,8 +64,6 @@ __all__ = [
     "check_product",
     "get_stage",
     "register_stage",
-    "resolve_algorithm",
-    "resolve_backend_algorithm",
     "residual_probe",
     "signed_permutation",
     "stage_names",

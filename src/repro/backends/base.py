@@ -1,10 +1,10 @@
 """The stage interface: one contract for everything that wraps a matmul.
 
 Before this subsystem existed the repo had three hand-rolled wrapper
-classes (``APABackend``, ``GuardedBackend``, ``FaultyBackend``) plus a
-fourth copy of the layering logic special-cased inside the engine's
-dispatch.  Each new numeric transform (randomization, quantization)
-would have become wrapper number five.  :class:`BackendStage` replaces
+classes around a matmul plus a fourth copy of the layering logic
+special-cased inside the engine's dispatch.  Each new numeric
+transform (randomization, quantization) would have become wrapper
+number five.  :class:`BackendStage` replaces
 that with a middleware contract, composed by
 :class:`~repro.backends.stack.BackendStack`:
 

@@ -130,7 +130,7 @@ class GuardedBackend:
     ----------
     inner:
         The backend to guard (typically an
-        :class:`~repro.core.backend.APABackend`; any backend satisfying
+        :class:`~repro.core.engine.EngineBackend`; any backend satisfying
         the protocol works, with the lambda/steps escalation rungs
         skipped when the backend has no such knobs).
     policy:

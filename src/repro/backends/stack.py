@@ -9,9 +9,7 @@ guard( randomized( trace( target.matmul ) ) )
 ```
 
 An **empty** stack is exactly the target — no wrapper frames, no
-behavior change — which is what makes the legacy classes honest shims:
-``APABackend`` routes through an empty stack and stays bit-identical
-to the pre-refactor code.
+behavior change.
 
 Stacks satisfy the :class:`~repro.core.backend.MatmulBackend` protocol
 (``name`` + ``matmul``), so they drop into ``Dense`` layers, the serve
@@ -45,8 +43,7 @@ class BackendStack:
     target:
         The terminal backend: anything with ``matmul`` (an
         :class:`~repro.core.engine.EngineBackend` for engine-built
-        stacks, an :class:`~repro.core.backend.APABackend` live target
-        for shims).
+        stacks).
     config / engine / log:
         Recorded into the :class:`StageContext` stages wrap under
         (``log`` routes stage events — the guard's escalations — into a

@@ -161,16 +161,14 @@ class InjectStage(BackendStage):
     It is therefore activated by the ``fault=`` knob at the terminal
     backend (engine ``_execute`` / ``EngineBackend``), never selected
     onto the product seam by ``active_stage_names`` — that would
-    double-inject.  ``FaultyBackend`` uses the product seam directly to
-    keep its whole-product granularity.
+    double-inject.
     """
 
     name = "inject"
 
     def __init__(self, config: Any = None) -> None:
         super().__init__(config)
-        # Accept either a resolved config or a bare FaultSpec: the
-        # engine has a config, FaultyBackend has only the spec.
+        # Accept either a resolved config or a bare FaultSpec.
         self.spec = getattr(config, "fault", config)
 
     @classmethod

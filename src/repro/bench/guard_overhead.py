@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench.timing import MeasuredTime, measure
-from repro.core.backend import make_backend
+from repro.core.engine import ExecutionEngine
 
 __all__ = ["GuardOverhead", "measure_guard_overhead"]
 
@@ -52,8 +52,10 @@ def measure_guard_overhead(
     A = rng.random((n, n)).astype(dtype)
     B = rng.random((n, n)).astype(dtype)
 
-    plain = make_backend(algorithm, steps=steps)
-    guarded = make_backend(algorithm, steps=steps, guarded=True)
+    # A private engine: the guard's breaker state starts fresh.
+    engine = ExecutionEngine()
+    plain = engine.backend(algorithm=algorithm, steps=steps)
+    guarded = engine.backend(algorithm=algorithm, steps=steps, guarded=True)
 
     t_plain = measure(lambda: plain.matmul(A, B), repeats=repeats)
     t_guarded = measure(lambda: guarded.matmul(A, B), repeats=repeats)

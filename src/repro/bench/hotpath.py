@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.apa_matmul import apa_matmul
-from repro.core.backend import APABackend
+from repro.core.engine import default_engine
 from repro.core.plan import PlanCache
 
 __all__ = ["HotpathResult", "run_hotpath", "format_hotpath",
@@ -163,14 +163,17 @@ def _build_mlp(algorithm, plan_cache, in_dim: int, hidden: int,
     from repro.nn.layers import Dense, ReLU
     from repro.nn.model import Sequential
 
+    engine = default_engine()
     rng = np.random.default_rng(0)
     return Sequential([
         Dense(in_dim, hidden,
-              backend=APABackend(algorithm=algorithm, plan_cache=plan_cache),
+              backend=engine.backend(algorithm=algorithm,
+                                     plan_cache=plan_cache),
               rng=rng),
         ReLU(),
         Dense(hidden, out_dim,
-              backend=APABackend(algorithm=algorithm, plan_cache=plan_cache),
+              backend=engine.backend(algorithm=algorithm,
+                                     plan_cache=plan_cache),
               rng=rng),
     ])
 

@@ -341,8 +341,7 @@ def _cmd_fig(number: int, threads: int, out) -> int:
 
 def _cmd_matmul(args, out) -> int:
     from repro.algorithms.catalog import get_algorithm
-    from repro.core.backend import make_backend
-    from repro.core.config import execution_context
+    from repro.core.engine import ExecutionEngine
     from repro.core.lam import optimal_lambda, precision_bits
 
     names = [part.strip() for part in args.name.split(",") if part.strip()]
@@ -351,16 +350,12 @@ def _cmd_matmul(args, out) -> int:
     rng = np.random.default_rng(0)
     A = rng.random((args.n, args.n)).astype(dtype)
     B = rng.random((args.n, args.n)).astype(dtype)
-    backend = make_backend(names if len(names) > 1 else names[0],
-                           steps=args.steps, guarded=args.guarded)
-    if args.executor is not None or args.threads is not None:
-        # Backends re-resolve through the ambient context, so the
-        # executor/worker knobs route through without a new factory.
-        with execution_context(executor=args.executor,
-                               threads=args.threads):
-            C = backend.matmul(A, B)
-    else:
-        C = backend.matmul(A, B)
+    # A private engine: the guard report covers this command's call only.
+    backend = ExecutionEngine().backend(
+        algorithm=tuple(algs) if len(algs) > 1 else algs[0],
+        steps=args.steps, guarded=args.guarded, executor=args.executor,
+        threads=args.threads)
+    C = backend.matmul(A, B)
     ref = A.astype(np.float64) @ B.astype(np.float64)
     err = float(np.linalg.norm(C - ref) / np.linalg.norm(ref))
     d = precision_bits(dtype)

@@ -8,25 +8,24 @@
 - :mod:`repro.core.surrogate` — execution of metadata surrogates
   (classical product + structured error at the modelled magnitude);
 - :mod:`repro.core.backend` — the pluggable matmul-backend protocol used
-  to inject APA products into neural-network layers;
+  to inject APA products into neural-network layers, and the classical
+  baseline (APA backends come from ``default_engine().backend(...)``);
 - :mod:`repro.core.plan` — cached :class:`~repro.core.plan.ExecutionPlan`
   objects with pooled workspace arenas (the hot-path engine behind
   repeated identically-shaped calls);
 - :mod:`repro.core.config` / :mod:`repro.core.engine` — the
   :class:`~repro.core.config.ExecutionConfig` value object and the
   :class:`~repro.core.engine.ExecutionEngine` that resolves it into the
-  layered inject → guard → trace → dispatch stack (every public entry
-  point above is a thin shim over it).
+  layered inject → guard → trace → dispatch stack; ``apa_matmul``,
+  ``engine.matmul`` and ``engine.backend`` all dispatch through it.
 """
 
 from repro.core.apa_matmul import apa_matmul
 from repro.core.config import ExecutionConfig, execution_context
 from repro.core.engine import ExecutionEngine, default_engine
 from repro.core.backend import (
-    APABackend,
     ClassicalBackend,
     MatmulBackend,
-    make_backend,
 )
 from repro.core.lam import optimal_lambda, precision_bits, tune_lambda
 from repro.core.plan import (
@@ -49,8 +48,6 @@ __all__ = [
     "precision_bits",
     "MatmulBackend",
     "ClassicalBackend",
-    "APABackend",
-    "make_backend",
     "ExecutionPlan",
     "PlanCache",
     "default_plan_cache",

@@ -17,7 +17,7 @@ from repro.algorithms.spec import AlgorithmLike
 from repro.core.engine import default_engine
 from repro.types import GemmFn
 
-__all__ = ["apa_matmul", "apa_matmul_nonstationary"]
+__all__ = ["apa_matmul"]
 
 #: The process-wide engine; bound once — it is never replaced.
 _ENGINE = default_engine()
@@ -121,39 +121,3 @@ def _apa_matmul_impl(
                         B.shape[1], A.dtype, lam, steps=steps)
     return plan.execute(A, B, gemm=gemm)
 
-
-def apa_matmul_nonstationary(
-    A: np.ndarray,
-    B: np.ndarray,
-    algorithms: list[AlgorithmLike | str],
-    lam: float | None = None,
-    gemm: GemmFn | None = None,
-    d: int | None = None,
-    plan_cache=None,
-    threads: int | None = None,
-    strategy: str | None = None,
-    guarded: bool | None = None,
-) -> np.ndarray:
-    """Uniform non-stationary recursion (paper §6): one algorithm per level.
-
-    ``algorithms[0]`` is applied at the outermost level, ``algorithms[1]``
-    to its sub-products, and so on; the innermost products call gemm.
-    Useful for matching different aspect ratios across levels or pairing a
-    low-phi rule outside with a high-speedup rule inside.
-
-    ``lam`` applies to every APA level (pass ``None`` for the theory
-    optimum computed from the *combined* phi, which is the sum over
-    levels as each level multiplies intermediate magnitudes).
-
-    A shim over :meth:`repro.core.engine.ExecutionEngine.nonstationary`,
-    which closed this entry point's historical feature gaps: every level
-    now resolves ``plan_cache`` consistently (``None`` process default /
-    ``False`` uncached plans / private :class:`~repro.core.plan.PlanCache`),
-    ``threads > 1`` runs the *outer* level on the §3.2 threaded executor
-    (``strategy`` selects its schedule), and ``guarded=True`` wraps the
-    whole recursion in the
-    :class:`~repro.robustness.guard.GuardedBackend` health checks.
-    """
-    return _ENGINE.nonstationary(
-        A, B, algorithms, lam=lam, gemm=gemm, d=d, plan_cache=plan_cache,
-        threads=threads, strategy=strategy, guarded=guarded)

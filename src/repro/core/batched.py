@@ -1,11 +1,12 @@
 """Batched APA products (paper §1: "batches of smaller multiplications").
 
 Convolutional and attention workloads often present *many same-shape
-products* rather than one large one.  Two execution modes:
+products* rather than one large one.  ``engine.matmul`` routes 3-D
+operands here, with two execution modes (``batch_mode=``):
 
-- ``mode='loop'`` — run the fast algorithm per product (right when each
+- ``'loop'`` — run the fast algorithm per product (right when each
   product is individually above the crossover dimension);
-- ``mode='stacked'`` — exploit that every product shares the coefficient
+- ``'stacked'`` (default) — exploit that every product shares the coefficient
   evaluation: the linear combinations are applied to all batch items at
   once on a 3-D array (one pass of large, bandwidth-friendly elementwise
   work) and the r sub-products run as batched gemms.  This amortizes
@@ -23,41 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
-from repro.core.engine import default_engine
 
-__all__ = ["apa_matmul_batched"]
-
-#: The process-wide engine; bound once — it is never replaced.
-_ENGINE = default_engine()
-
-
-def apa_matmul_batched(
-    A: np.ndarray,
-    B: np.ndarray,
-    algorithm: AlgorithmLike | str,
-    lam: float | None = None,
-    mode: str | None = None,
-    d: int | None = None,
-    plan_cache=None,
-) -> np.ndarray:
-    """Multiply ``A[i] @ B[i]`` for every batch item with a fast rule.
-
-    ``A`` has shape ``(batch, M, N)``, ``B`` ``(batch, N, K)``; returns
-    ``(batch, M, K)``.  One recursive step.  Surrogates are executed per
-    item through their error model.
-
-    A thin shim over :meth:`repro.core.engine.ExecutionEngine.batched`;
-    ``mode`` maps to the config field ``batch_mode`` (default
-    ``'stacked'``, or the active
-    :func:`~repro.core.config.execution_context`'s).
-
-    Stacked mode shares the cached :class:`~repro.core.plan.ExecutionPlan`
-    machinery for its padded dims, coefficients, and nonzero term lists
-    (the batch axis is per-call, so no workspace arena is pooled);
-    ``plan_cache=False`` builds an uncached plan per call.
-    """
-    return _ENGINE.batched(A, B, algorithm, lam=lam, batch_mode=mode,
-                           d=d, plan_cache=plan_cache)
+__all__: list[str] = []
 
 
 def _batched_matmul_impl(
@@ -69,9 +37,17 @@ def _batched_matmul_impl(
     d: int | None,
     plan_cache,
 ) -> np.ndarray:
-    """The pre-refactor ``apa_matmul_batched`` body, engine-owned.
+    """Multiply ``A[i] @ B[i]`` for every batch item, engine-owned.
 
-    Only :mod:`repro.core.engine` may call this (staticcheck ENG001
+    ``A`` has shape ``(batch, M, N)``, ``B`` ``(batch, N, K)``; returns
+    ``(batch, M, K)``.  One recursive step.  Surrogates run per item
+    through their error model.  Stacked mode shares the cached
+    :class:`~repro.core.plan.ExecutionPlan` machinery for its padded
+    dims, coefficients, and term lists (the batch axis is per-call, so
+    no workspace arena is pooled).
+
+    Reached as ``engine.matmul(A, B, alg, batch_mode=...)``; only
+    :mod:`repro.core.engine` may call this (staticcheck ENG001
     enforces it).
     """
     if A.ndim != 3 or B.ndim != 3:
@@ -80,8 +56,6 @@ def _batched_matmul_impl(
         raise ValueError(f"batch sizes differ: {A.shape[0]} vs {B.shape[0]}")
     if A.shape[2] != B.shape[1]:
         raise ValueError(f"inner dims mismatch: {A.shape} @ {B.shape}")
-    if mode not in ("loop", "stacked"):
-        raise ValueError("mode must be 'loop' or 'stacked'")
 
     from repro.core.apa_matmul import apa_matmul
     from repro.core.plan import (accumulate, acquire_plan, block_views,

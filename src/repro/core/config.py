@@ -1,7 +1,7 @@
 """Execution configuration: one frozen record of *what* to run.
 
-The repo's matmul entry points (``apa_matmul``, ``threaded_apa_matmul``,
-the batched, process, and sharded paths) share one dispatch point —
+The repo's matmul entry points (``apa_matmul``, ``engine.matmul``,
+``engine.backend`` and ``shard_matmul``) share one dispatch point —
 :mod:`repro.core.engine` — and one evaluator, the cached
 :class:`~repro.core.plan.ExecutionPlan`.  This module holds the value
 object those layers share:
@@ -58,7 +58,7 @@ __all__ = [
     "execution_context",
 ]
 
-#: Batched execution modes (``apa_matmul_batched``).
+#: Batched execution modes (``engine.matmul`` on 3-D operands).
 BATCH_MODES = ("stacked", "loop")
 
 #: Schedule executors: worker threads (the default — gemms release the
@@ -237,6 +237,13 @@ class ExecutionConfig:
 
     def _check_combinations(self) -> None:
         """Reject combinations that no backend can execute."""
+        if isinstance(self.algorithm, (tuple, list)):
+            if not self.algorithm:
+                raise ValueError("need at least one algorithm")
+            if self.steps is not None and self.steps != 1:
+                raise ValueError(
+                    "steps does not apply to a non-stationary algorithm "
+                    "list — the level list is the recursion")
         if self.executor == "process" and (
                 self.gemm is not None or self.fault is not None):
             raise ValueError(

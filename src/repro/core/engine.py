@@ -2,13 +2,13 @@
 
 Every ⟨U,V,W⟩ product evaluates through one artifact, the cached
 :class:`~repro.core.plan.ExecutionPlan` (the paper's §3 write-once
-linear combinations → r gemms → output combinations), reached from
-several entry points — :func:`repro.core.apa_matmul.apa_matmul`,
-:func:`repro.parallel.executor.threaded_apa_matmul` (§3.2 schedules),
-the batched, process, and sharded paths, and the wrapper backends.
-This module puts them behind one :class:`ExecutionEngine` that
-resolves an :class:`~repro.core.config.ExecutionConfig` into a layered
-stack::
+linear combinations → r gemms → output combinations).  There are four
+entry points: :func:`repro.core.apa_matmul.apa_matmul` (the paper's
+call), :meth:`ExecutionEngine.matmul`, :meth:`ExecutionEngine.backend`
+(a reusable :class:`~repro.core.backend.MatmulBackend` for network
+layers) and :func:`repro.shard.shard_matmul`.  All of them go through
+one :class:`ExecutionEngine` that resolves an
+:class:`~repro.core.config.ExecutionConfig` into a layered stack::
 
     inject   wrap gemm in a seeded GemmFaultInjector   (config.fault)
       ↓
@@ -21,8 +21,7 @@ stack::
                (``tuned=True`` first fills unset algorithm/steps/executor
                from the learned dispatch table — :mod:`repro.tune`)
 
-The legacy entry points are now thin shims over this engine; the
-private implementations (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
+The private implementations (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
 ``_batched_matmul_impl``, ``_process_matmul_impl``,
 ``_shard_matmul_impl``) may only be called from this module — the
 staticcheck rule ENG001 machine-enforces that, so new execution paths
@@ -32,11 +31,10 @@ from the config alone: ``executor='process'`` picks worker processes;
 ``schedule``, or a ``report`` pick the threaded executor; everything
 else runs the sequential plan.
 
-Dispatch overhead matters: the shims sit on the hot path the plan
-cache optimized, so the no-context fast lanes below add only a global
-read and a function call before reaching the pre-refactor bodies
-(``bench/hotpath.py`` gates the paired-median overhead at < 2%, like
-the observability gate).
+Dispatch overhead matters: ``apa_matmul`` sits on the hot path the
+plan cache optimized, so its no-context fast lane below adds only a
+global read and a function call before reaching the plan
+(``bench/hotpath.py`` gates the paired-median overhead).
 """
 
 from __future__ import annotations
@@ -88,21 +86,21 @@ def _load_impls() -> None:
         _process_impl = _process_matmul_impl
         _shard_impl = _shard_matmul_impl
         # Bound last: its non-None-ness is the "all loaded" flag read
-        # without the lock by the fast lanes.
+        # without the lock by the dispatch paths.
         _seq_impl = _apa_matmul_impl
 
 
 def _resolve_algorithm(algorithm: Any) -> Any:
     """Catalog name → ``BilinearAlgorithm``; anything else passes through.
 
-    The str check stays inline (this sits on the fast lanes; non-string
-    algorithms must not pay an import), but name lookup delegates to the
-    shared resolver so the engine and ``make_backend`` can never drift.
+    The str check stays inline (this sits on the fast lane; non-string
+    algorithms must not pay an import).  A bad name raises the catalog's
+    ``KeyError`` listing the known algorithms.
     """
     if isinstance(algorithm, str):
-        from repro.backends.resolve import resolve_algorithm
+        from repro.algorithms.catalog import get_algorithm
 
-        return resolve_algorithm(algorithm)
+        return get_algorithm(algorithm)
     return algorithm
 
 
@@ -118,7 +116,7 @@ def _run_sequential(
 ) -> np.ndarray:
     """Trace layer + sequential dispatch to a (cached or uncached) plan.
 
-    This is the pre-refactor body of ``apa_matmul``: when a tracer is
+    This is the body of ``apa_matmul``: when a tracer is
     active the whole call becomes one span (the plan's execute span
     nests inside); when it is not, this branch is the entire cost.
     """
@@ -166,9 +164,9 @@ class EngineBackend:
         cfg = cfg.replace(algorithm=alg)
         if cfg.fault is not None:
             # Materialize the injector once via the inject stage's gemm
-            # seam: persistent across calls (its call counter advances
-            # like a FaultyBackend's), and visible to the guard's
-            # recompute via the gemm attribute.
+            # seam: persistent across calls (its call counter and
+            # ``active`` switch live on ``self.gemm``), and visible to
+            # the guard's recompute via the gemm attribute.
             from repro.backends.stages import InjectStage
 
             cfg = cfg.replace(
@@ -252,8 +250,9 @@ _STACK_CACHE_MAX = 32
 class ExecutionEngine:
     """Resolve configs into the layered stack and run them.
 
-    One process-wide instance (:func:`default_engine`) serves every
-    legacy shim; construct private engines to pin a base config::
+    One process-wide instance (:func:`default_engine`) serves
+    ``apa_matmul`` and most callers; construct private engines to pin a
+    base config, or to get guard/breaker state of your own::
 
         engine = ExecutionEngine(ExecutionConfig(threads=4, guarded=True))
 
@@ -272,18 +271,24 @@ class ExecutionEngine:
 
     def resolve(self, config: ExecutionConfig | None = None, /,
                 **overrides: Any) -> ExecutionConfig:
-        """Merge all layers into one validated config (highest wins last)."""
-        cfg = ExecutionConfig()
+        """Merge all layers into one validated config (highest wins last).
+
+        Only the merged result is validated: a combination that a
+        higher layer overrides (say a context level list under an
+        explicit single algorithm) never has to stand on its own.
+        """
+        merged: dict[str, Any] = {}
         ctx = active_overrides()
         if ctx is not None:
-            cfg = cfg.merged(ctx)
+            merged.update(ctx)
         if self._configured:
-            cfg = cfg.merged(self._overrides)
+            merged.update(self._overrides)
         if config is not None:
-            cfg = cfg.merged(config.overrides())
+            merged.update(config.overrides())
         if overrides:
-            cfg = cfg.merged(overrides)
-        return cfg
+            merged.update(
+                {k: v for k, v in overrides.items() if v is not None})
+        return ExecutionConfig().merged(merged)
 
     # -- public API ----------------------------------------------------
 
@@ -296,7 +301,7 @@ class ExecutionEngine:
         ``config`` sits between them and the engine's own config.
         ``report`` captures an
         :class:`~repro.parallel.executor.ExecutionReport` on the
-        threaded path (and forces it, like the legacy entry point).
+        threaded path (and forces that runner).
         """
         if algorithm is not None:
             overrides.setdefault("algorithm", algorithm)
@@ -370,11 +375,11 @@ class ExecutionEngine:
         return {"plan_caches": caches, "pool": pool_stats(),
                 "process_pool": process_pool_stats(), "shm": shm_stats()}
 
-    # -- fast lanes for the legacy shims -------------------------------
+    # -- the apa_matmul fast lane --------------------------------------
     #
-    # Each legacy entry point has a fixed capability set, so when no
+    # apa_matmul has a fixed capability set, so when no
     # execution_context is active and this engine carries no config,
-    # dispatch reduces to one global read before the pre-refactor body.
+    # dispatch reduces to one global read before the sequential plan.
 
     def sequential(self, A: np.ndarray, B: np.ndarray, algorithm: Any,
                    lam: float | None = None, steps: int | None = None,
@@ -387,64 +392,6 @@ class ExecutionEngine:
                 1 if steps is None else steps, gemm, d, plan_cache)
         return self.matmul(A, B, algorithm, lam=lam, steps=steps,
                            gemm=gemm, d=d, plan_cache=plan_cache)
-
-    def threaded(self, A: np.ndarray, B: np.ndarray, algorithm: Any,
-                 threads: int, lam: float | None = None,
-                 strategy: str | None = None, schedule: Any = None,
-                 gemm: GemmFn | None = None, steps: int | None = None,
-                 retries: int | None = None, timeout: float | None = None,
-                 check_finite: bool | None = None, report: Any = None,
-                 plan_cache: Any = None) -> np.ndarray:
-        """``threaded_apa_matmul`` entry: §3.2 schedule execution."""
-        if active_overrides() is None and not self._configured:
-            impl = _threaded_impl
-            if impl is None:
-                _load_impls()
-                impl = _threaded_impl
-                assert impl is not None
-            return impl(
-                A, B, _resolve_algorithm(algorithm), threads, lam=lam,
-                strategy="hybrid" if strategy is None else strategy,
-                schedule=schedule, gemm=gemm,
-                steps=1 if steps is None else steps,
-                retries=0 if retries is None else retries, timeout=timeout,
-                check_finite=bool(check_finite), report=report,
-                plan_cache=plan_cache)
-        return self.matmul(
-            A, B, algorithm, report=report, threads=threads, lam=lam,
-            strategy=strategy, schedule=schedule, gemm=gemm, steps=steps,
-            retries=retries, timeout=timeout, check_finite=check_finite,
-            plan_cache=plan_cache)
-
-    def batched(self, A: np.ndarray, B: np.ndarray, algorithm: Any,
-                lam: float | None = None, batch_mode: str | None = None,
-                d: int | None = None, plan_cache: Any = None) -> np.ndarray:
-        """``apa_matmul_batched`` entry: stacked/loop 3-D execution."""
-        if active_overrides() is None and not self._configured:
-            impl = _batched_impl
-            if impl is None:
-                _load_impls()
-                impl = _batched_impl
-                assert impl is not None
-            return impl(A, B, _resolve_algorithm(algorithm), lam,
-                        "stacked" if batch_mode is None else batch_mode,
-                        d, plan_cache)
-        cfg = self.resolve(None, algorithm=algorithm, lam=lam,
-                           batch_mode=batch_mode, d=d, plan_cache=plan_cache)
-        return self._run(A, B, cfg)
-
-    def nonstationary(self, A: np.ndarray, B: np.ndarray, algorithms: Any,
-                      lam: float | None = None, gemm: GemmFn | None = None,
-                      d: int | None = None, plan_cache: Any = None,
-                      threads: int | None = None,
-                      strategy: str | None = None,
-                      guarded: bool | None = None) -> np.ndarray:
-        """``apa_matmul_nonstationary`` entry: one algorithm per level."""
-        cfg = self.resolve(
-            None, algorithm=tuple(algorithms), lam=lam, gemm=gemm, d=d,
-            plan_cache=plan_cache, threads=threads, strategy=strategy,
-            guarded=guarded)
-        return self._run(A, B, cfg)
 
     # -- the layer stack -----------------------------------------------
 
@@ -630,14 +577,12 @@ class ExecutionEngine:
                            gemm: GemmFn | None) -> np.ndarray:
         """Paper §6 non-stationary recursion, one algorithm per level.
 
-        Every level now routes back through the engine's sequential
-        dispatch, so plan caching applies per level with a consistent
-        cache (the historical gap: the legacy entry point could not
-        pass one through), and the outer level can run on the threaded
-        executor when ``threads > 1``.
+        Every level routes back through the engine's sequential
+        dispatch, so plan caching applies per level with one cache, and
+        the outer level runs on the threaded executor when
+        ``threads > 1``.  Config validation has already rejected an
+        empty level list and ``steps`` with a level list.
         """
-        if not algs:
-            raise ValueError("need at least one algorithm")
         for alg in algs:
             if alg.is_surrogate:
                 raise ValueError(
@@ -710,17 +655,10 @@ class ExecutionEngine:
                 self._stacks[key] = stack
             return stack
 
-    def _guard_for(self, cfg: ExecutionConfig) -> Any:
-        """Legacy accessor: the guard of the config's cached stack."""
-        guard = self._stack_for(cfg).guard
-        if guard is None:
-            raise ValueError("config has no guard stage")
-        return guard
-
 
 _DEFAULT_ENGINE = ExecutionEngine()
 
 
 def default_engine() -> ExecutionEngine:
-    """The process-wide engine every legacy entry point delegates to."""
+    """The process-wide engine ``apa_matmul`` and most callers use."""
     return _DEFAULT_ENGINE

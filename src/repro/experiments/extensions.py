@@ -117,7 +117,8 @@ def run_conv_study(
     im2col product too much for fast algorithms — the same size
     threshold the paper reports for dense layers.
     """
-    from repro.core.backend import make_backend
+    from repro.core.backend import ClassicalBackend
+    from repro.core.engine import default_engine
     from repro.data.synth_mnist import load_synth_mnist
     from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
     from repro.nn.model import Sequential
@@ -129,7 +130,8 @@ def run_conv_study(
 
     def build(backend_name):
         rng = np.random.default_rng(seed)
-        be = make_backend(backend_name)
+        be = (ClassicalBackend() if backend_name is None
+              else default_engine().backend(algorithm=backend_name))
         return Sequential([
             Conv2D(1, 8, kernel_size=3, padding=1, backend=be, rng=rng),
             ReLU(),

@@ -24,8 +24,8 @@ import numpy as np
 from repro.algorithms.catalog import PAPER_ALGORITHMS, get_algorithm
 from repro.bench.tables import format_table
 from repro.bench.timing import measure
+from repro.core.engine import default_engine
 from repro.machine.spec import MachineSpec, paper_machine
-from repro.parallel.executor import threaded_apa_matmul
 from repro.parallel.simulator import simulate_classical, simulate_fast
 
 __all__ = ["Fig3Point", "run_fig3", "format_fig3", "FIG3_DIMS_PAPER"]
@@ -86,7 +86,8 @@ def run_fig3(
                 if alg.is_surrogate:
                     continue
                 t = measure(
-                    lambda: threaded_apa_matmul(A, B, alg, threads, strategy=strategy),
+                    lambda: default_engine().matmul(
+                        A, B, alg, threads=threads, strategy=strategy),
                     repeats=repeats,
                 ).best
             points.append(

@@ -9,7 +9,7 @@ constructed object rather than transcribed.
 
 from __future__ import annotations
 
-from repro.core.backend import make_backend
+from repro.core.engine import default_engine
 from repro.nn.layers import Dense
 from repro.nn.mlp import build_accuracy_mlp
 
@@ -18,7 +18,8 @@ __all__ = ["run_fig4", "format_fig4"]
 
 def run_fig4(hidden_algorithm: str = "bini322"):
     """Build the Fig-4 network with the given hidden-product algorithm."""
-    return build_accuracy_mlp(hidden_backend=make_backend(hidden_algorithm))
+    return build_accuracy_mlp(
+        hidden_backend=default_engine().backend(algorithm=hidden_algorithm))
 
 
 def format_fig4(model=None) -> str:

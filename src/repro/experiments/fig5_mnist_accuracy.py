@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.algorithms.catalog import PAPER_ALGORITHMS
 from repro.bench.tables import format_table
-from repro.core.backend import make_backend
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import default_engine
 from repro.data.synth_mnist import load_synth_mnist
 from repro.nn.mlp import build_accuracy_mlp
 from repro.nn.model import History
@@ -58,7 +59,8 @@ def run_fig5(
     runs: list[Fig5Run] = []
     names = (("classical",) if include_classical else ()) + tuple(algorithms)
     for name in names:
-        backend = make_backend(None if name == "classical" else name)
+        backend = (ClassicalBackend() if name == "classical"
+                   else default_engine().backend(algorithm=name))
         model = build_accuracy_mlp(
             hidden_backend=backend, rng=np.random.default_rng(seed + 1)
         )

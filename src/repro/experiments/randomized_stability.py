@@ -186,7 +186,7 @@ def run_fig5_randomized(
     the same rule behind the randomized+guarded stack.  Labels are
     ``classical`` / ``<name>`` / ``<name>+rand``.
     """
-    from repro.core.backend import make_backend
+    from repro.core.backend import ClassicalBackend
     from repro.data.synth_mnist import load_synth_mnist
     from repro.nn.mlp import build_accuracy_mlp
 
@@ -194,8 +194,8 @@ def run_fig5_randomized(
         n_train=n_train, n_test=n_test, seed=seed)
     engine = ExecutionEngine()
     backends = [
-        ("classical", make_backend(None)),
-        (algorithm, make_backend(algorithm, lam=lam)),
+        ("classical", ClassicalBackend()),
+        (algorithm, engine.backend(algorithm=algorithm, lam=lam)),
         (f"{algorithm}+rand",
          engine.backend(algorithm=algorithm, lam=lam, steps=1,
                         guarded=True, randomized=True, rand_seed=seed)),

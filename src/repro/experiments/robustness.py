@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.algorithms.smirnov import SurrogateAlgorithm
 from repro.bench.tables import format_table
-from repro.core.backend import APABackend, make_backend
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import default_engine
 from repro.data.synth_mnist import load_synth_mnist
 from repro.nn.mlp import build_accuracy_mlp
 
@@ -89,11 +90,12 @@ def run_error_tolerance_study(
     seed: int = 0,
 ) -> list[TolerancePoint]:
     """Final test accuracy as a function of injected matmul error."""
-    classical = _train_once(make_backend(None), epochs, n_train, n_test,
+    classical = _train_once(ClassicalBackend(), epochs, n_train, n_test,
                             batch_size, lr, seed)
     points = []
     for level in error_levels:
-        backend = APABackend(algorithm=_DialedErrorAlgorithm(level))
+        backend = default_engine().backend(
+            algorithm=_DialedErrorAlgorithm(level))
         acc = _train_once(backend, epochs, n_train, n_test, batch_size, lr,
                           seed)
         points.append(TolerancePoint(level, acc, classical))
@@ -128,13 +130,14 @@ def run_bad_lambda_study(
     from repro.algorithms.catalog import get_algorithm
     from repro.core.lam import optimal_lambda
 
-    classical = _train_once(make_backend(None), epochs, n_train, n_test,
+    classical = _train_once(ClassicalBackend(), epochs, n_train, n_test,
                             batch_size, lr, seed)
     alg = get_algorithm(algorithm)
     lam_opt = optimal_lambda(alg, d=23)
     points = []
     for scale in lambda_scales:
-        backend = APABackend(algorithm=alg, lam=lam_opt * scale)
+        backend = default_engine().backend(algorithm=alg,
+                                           lam=lam_opt * scale)
         acc = _train_once(backend, epochs, n_train, n_test, batch_size, lr,
                           seed)
         effective = alg.empirical_error_scale(d=23) * scale**alg.sigma
@@ -182,26 +185,26 @@ def run_guarded_recovery_study(
     """
     from repro.nn.train import ConstantLR, Trainer
     from repro.robustness.divergence import DivergenceGuard
-    from repro.robustness.inject import FaultSpec, FaultyBackend
+    from repro.robustness.inject import FaultSpec
 
     (x, y), (xt, yt) = load_synth_mnist(n_train=n_train, n_test=n_test,
                                         seed=seed)
 
     def run(faulted: bool, guarded: bool):
-        backend = make_backend(None)
+        backend = ClassicalBackend()
         if faulted:
-            backend = FaultyBackend(  # lint: ignore[ENG002]: divergence study arms/disarms whole-product faults mid-training via the wrapper's .active toggle
-                make_backend(None),
-                FaultSpec(kind="nan", probability=1.0, seed=seed),
-            )
-            backend.active = False
+            # Classical gemm with the injector on its (only) gemm call:
+            # the fault fires once per layer product.
+            backend = default_engine().backend(
+                fault=FaultSpec(kind="nan", probability=1.0, seed=seed))
+            backend.gemm.active = False
 
         model = build_accuracy_mlp(hidden_backend=backend,
                                    rng=np.random.default_rng(seed + 1))
 
         def arm(epoch, history):
             if faulted and epoch == fault_epoch:
-                backend.active = True
+                backend.gemm.active = True
 
         guard = DivergenceGuard(max_rollbacks=max_rollbacks) if guarded else None
         trainer = Trainer(model, schedule=ConstantLR(lr), epoch_callback=arm,

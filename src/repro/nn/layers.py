@@ -8,7 +8,8 @@ parameters are exposed through :meth:`Layer.parameters` as
 forward product ``X @ W`` and both backward products (``dY @ W.T`` for the
 input gradient, ``X.T @ dY`` for the weight gradient) go through the
 layer's :class:`~repro.core.backend.MatmulBackend` — so assigning an
-:class:`~repro.core.backend.APABackend` to a layer reproduces the paper's
+APA backend (``default_engine().backend(algorithm=...)``, an
+:class:`~repro.core.engine.EngineBackend`) to a layer reproduces the paper's
 "custom operator used for both forward propagation and gradient
 calculation".
 

@@ -251,11 +251,9 @@ class Trainer:
         each one's plan cache (the shared process default unless a layer
         was given a private cache), and returns the deduplicated cache
         stats plus the persistent worker-pool counters — the numbers the
-        hot-path bench reports.  Every backend kind that plans is
-        covered: sequential and non-stationary
-        :class:`~repro.core.backend.APABackend` layers and
-        engine-built backends
-        (:meth:`~repro.core.engine.ExecutionEngine.backend`) all expose
+        hot-path bench reports.  Every backend that plans — sequential
+        or non-stationary, built by
+        :meth:`~repro.core.engine.ExecutionEngine.backend` — exposes
         the same ``plan_cache`` knob.
         """
         from repro.core.plan import resolve_plan_cache

@@ -10,10 +10,11 @@ deterministic scenario and returns the live
    ``apa_matmul`` / ``plan.execute`` spans plus the sequential plan's
    ``plan-miss`` instant;
 2. a guarded *threaded* product with a fault injected into every worker
-   gemm — ``threaded_apa_matmul`` umbrella + per-job ``executor.job``
-   spans, ``pool-create``, and the guard's health check catching the
-   violation and walking the escalation ladder down to the classical
-   fallback (EventLog-sourced ``residual`` / ``fallback`` instants);
+   gemm — the ``threaded_apa_matmul`` umbrella span + per-job
+   ``executor.job`` spans, ``pool-create``, and the guard's health
+   check catching the violation and walking the escalation ladder down
+   to the classical fallback (EventLog-sourced ``residual`` /
+   ``fallback`` instants);
 3. the same product with the injector disarmed — a healthy fast path
    whose ``plan-hit`` instant lands next to act 2's ``plan-miss``.
 

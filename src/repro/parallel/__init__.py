@@ -4,11 +4,13 @@
   the ``r`` sub-multiplications to ``p`` threads (Fig 2);
 - :mod:`repro.parallel.executor` — a real thread-pool executor that runs
   a schedule with NumPy gemm (NumPy releases the GIL inside BLAS, so this
-  is a faithful implementation on real multicore hosts);
+  is a faithful implementation on real multicore hosts); reached as
+  ``engine.matmul(..., threads=t)``;
 - :mod:`repro.parallel.procpool` — the process-backed executor: the same
   schedules on a persistent worker-process pool with operands staged in
   shared memory (:mod:`repro.parallel.shm`), for the combination-bound
-  regime where the GIL throttles the thread path;
+  regime where the GIL throttles the thread path; reached as
+  ``engine.matmul(..., executor="process", threads=w)``;
 - :mod:`repro.parallel.simulator` — predicted timings of the same
   schedules on a :class:`~repro.machine.spec.MachineSpec` (used to
   regenerate the paper's performance figures on hosts where wall-clock
@@ -22,10 +24,8 @@ from repro.parallel.simulator import (
     simulate_fast,
     effective_gflops,
 )
-from repro.parallel.executor import threaded_apa_matmul
 from repro.parallel.pool import get_pool, pool_stats, shutdown_pool
 from repro.parallel.procpool import (
-    process_apa_matmul,
     get_process_pool,
     process_pool_stats,
     shutdown_process_pool,
@@ -40,11 +40,9 @@ __all__ = [
     "simulate_classical",
     "simulate_fast",
     "effective_gflops",
-    "threaded_apa_matmul",
     "get_pool",
     "pool_stats",
     "shutdown_pool",
-    "process_apa_matmul",
     "get_process_pool",
     "process_pool_stats",
     "shutdown_process_pool",

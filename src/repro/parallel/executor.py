@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import _run_sequential, default_engine
+from repro.core.engine import _run_sequential
 from repro.core.plan import accumulate, acquire_plan, combine, plannable
 from repro.obs import tracer as _obs_tracer
 from repro.parallel.backoff import BackoffPolicy
@@ -29,11 +29,7 @@ from repro.parallel.pool import get_pool
 from repro.parallel.strategy import Schedule
 from repro.robustness.events import EventLog
 
-__all__ = ["threaded_apa_matmul", "JobOutcome", "ExecutionReport",
-           "DEFAULT_BACKOFF"]
-
-#: The process-wide engine; bound once — it is never replaced.
-_ENGINE = default_engine()
+__all__ = ["JobOutcome", "ExecutionReport", "DEFAULT_BACKOFF"]
 
 #: Retry pacing when the caller does not supply a policy: short enough
 #: not to matter against a gemm, long enough to ride out a transient.
@@ -66,9 +62,10 @@ class JobOutcome:
 class ExecutionReport:
     """Per-job outcomes + structured failure events of one threaded call.
 
-    Pass a fresh instance as ``threaded_apa_matmul(..., report=...)`` to
-    capture it; :func:`repro.parallel.tracing.render_execution_gantt`
-    renders the timeline with failures highlighted.
+    Pass a fresh instance as ``engine.matmul(..., report=...)`` to
+    capture it (``report`` selects the threaded runner);
+    :func:`repro.parallel.tracing.render_execution_gantt` renders the
+    timeline with failures highlighted.
     """
 
     jobs: list[JobOutcome] = field(default_factory=list)
@@ -90,66 +87,6 @@ class _WorkerNonFinite(ArithmeticError):
     """Internal: a worker's block came back with NaN/Inf entries."""
 
 
-def threaded_apa_matmul(
-    A: np.ndarray,
-    B: np.ndarray,
-    algorithm,
-    threads: int,
-    lam: float | None = None,
-    strategy: str | None = None,
-    schedule: Schedule | None = None,
-    gemm=None,
-    steps: int | None = None,
-    retries: int | None = None,
-    timeout: float | None = None,
-    check_finite: bool | None = None,
-    report: ExecutionReport | None = None,
-    plan_cache=None,
-) -> np.ndarray:
-    """``steps`` recursive levels of ``algorithm``, outer level threaded.
-
-    A thin shim over :meth:`repro.core.engine.ExecutionEngine.threaded`
-    (the single dispatch point); unset parameters resolve through any
-    active :func:`~repro.core.config.execution_context`, then to the
-    historical defaults (``strategy='hybrid'``, ``steps=1``,
-    ``retries=0``, ``check_finite=False``).  Results are bit-identical
-    to the pre-engine entry point.
-
-    Parameters mirror :func:`repro.core.apa_matmul.apa_matmul`; the extra
-    ``threads``/``strategy``/``schedule`` select the §3.2 parallelization
-    of the *outer* level (inner levels, when ``steps > 1``, run
-    sequentially inside each scheduled job — the paper parallelizes only
-    across the top-level sub-products).  Surrogate algorithms are
-    rejected — they have no coefficients to run.
-
-    Worker threads come from the process-wide persistent pool
-    (:func:`repro.parallel.pool.get_pool`), so repeated calls pay no
-    thread spawn/teardown.  The partition, coefficients, schedule, and
-    staging/output arenas are reused through the plan cache exactly as
-    in :func:`~repro.core.apa_matmul.apa_matmul` (``plan_cache=False``
-    restores the per-call build; an explicit ``schedule`` also bypasses
-    the cache since custom schedules are not part of the plan key).
-
-    Failure handling (the guarded-execution contract): a job whose gemm
-    raises is retried up to ``retries`` times — each retry waits a
-    decorrelated-jitter backoff delay first (:data:`DEFAULT_BACKOFF`,
-    overridable via ``report.backoff``; the slept delays land in
-    ``report.backoff_delays``) — and then recomputed with classical
-    gemm — only the failed sub-multiplication loses its speedup, the
-    call still returns.  ``check_finite=True`` additionally
-    treats a NaN/Inf block as a failure.  ``timeout`` (seconds, threaded
-    path only) bounds each job's wall-clock; an overrunning worker's
-    block is recomputed classically in the caller thread (the stale
-    worker result is discarded).  Every recovery action is recorded in
-    ``report`` when one is passed.
-    """
-    return _ENGINE.threaded(
-        A, B, algorithm, threads, lam=lam, strategy=strategy,
-        schedule=schedule, gemm=gemm, steps=steps, retries=retries,
-        timeout=timeout, check_finite=check_finite, report=report,
-        plan_cache=plan_cache)
-
-
 def _threaded_matmul_impl(
     A: np.ndarray,
     B: np.ndarray,
@@ -166,11 +103,35 @@ def _threaded_matmul_impl(
     report: ExecutionReport | None = None,
     plan_cache=None,
 ) -> np.ndarray:
-    """The pre-refactor ``threaded_apa_matmul`` body, engine-owned.
+    """``steps`` recursive levels of ``algorithm``, outer level threaded.
 
-    Only :mod:`repro.core.engine` may call this (staticcheck ENG001
-    enforces it); everything else goes through the engine so tracing,
-    guarding, and fault injection stay layered at one point.
+    Reached as ``engine.matmul(A, B, alg, threads=t, ...)`` (or with
+    ``retries``/``timeout``/``check_finite``/``schedule``/``report``);
+    only :mod:`repro.core.engine` may call this (staticcheck ENG001
+    enforces it), so tracing, guarding, and fault injection stay
+    layered at one point.
+
+    ``threads``/``strategy``/``schedule`` select the §3.2
+    parallelization of the *outer* level (inner levels, when
+    ``steps > 1``, run sequentially inside each scheduled job — the
+    paper parallelizes only across the top-level sub-products).
+    Surrogate algorithms are rejected — they have no coefficients to
+    run.  Worker threads come from the persistent pool
+    (:func:`repro.parallel.pool.get_pool`); partition, coefficients,
+    schedule, and arenas come from the plan cache (``plan_cache=False``
+    or an explicit ``schedule`` builds an uncached plan).
+
+    Failure handling (the guarded-execution contract): a job whose gemm
+    raises is retried up to ``retries`` times — each retry waits a
+    decorrelated-jitter backoff delay first (:data:`DEFAULT_BACKOFF`,
+    overridable via ``report.backoff``; the slept delays land in
+    ``report.backoff_delays``) — and then recomputed with classical
+    gemm: only the failed sub-multiplication loses its speedup.
+    ``check_finite=True`` additionally treats a NaN/Inf block as a
+    failure.  ``timeout`` (seconds) bounds each job's wall-clock; an
+    overrunning worker's block is recomputed classically in the caller
+    thread.  Every recovery action is recorded in ``report`` when one
+    is passed.
     """
     if algorithm.is_surrogate:
         raise ValueError(
@@ -179,10 +140,6 @@ def _threaded_matmul_impl(
         )
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if gemm is None:
         gemm = np.matmul
 
@@ -196,19 +153,14 @@ def _threaded_matmul_impl(
 
     if steps > 1:
         # Inner levels run sequentially inside each scheduled job.  They
-        # go through the engine's sequential runner (not the public
-        # shim) so an active execution_context cannot re-thread the
+        # go through the engine's sequential runner (not apa_matmul)
+        # so an active execution_context cannot re-thread the
         # recursion from inside a pool worker.
         inner_gemm = gemm
 
         def gemm(S, T, _inner=inner_gemm):  # noqa: F811
             return _run_sequential(S, T, algorithm, lam, steps - 1,
                                    _inner, None, None)
-
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
 
     # Observability: one umbrella span for the call, one span per
     # scheduled job (opened in the worker thread, so the Chrome trace

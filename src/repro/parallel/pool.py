@@ -2,7 +2,7 @@
 
 Creating a :class:`~concurrent.futures.ThreadPoolExecutor` costs thread
 spawns and teardown joins; the seed executor paid that on *every*
-``threaded_apa_matmul`` call.  A training loop issues thousands of
+threaded call.  A training loop issues thousands of
 identically-shaped calls, so the pool here is created lazily on first
 use, reused across calls, and resized only when a caller asks for a
 different ``threads`` count (the common case — one thread count per

@@ -61,7 +61,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.engine import _run_sequential, default_engine
+from repro.core.engine import _run_sequential
 from repro.core.plan import (accumulate, acquire_plan, block_views, combine,
                              plannable)
 from repro.obs import tracer as _obs_tracer
@@ -72,11 +72,8 @@ from repro.parallel.executor import (DEFAULT_BACKOFF, ExecutionReport,
 from repro.parallel.shm import acquire_segment, release_segment
 from repro.parallel.strategy import Schedule
 
-__all__ = ["process_apa_matmul", "get_process_pool",
-           "shutdown_process_pool", "process_pool_stats"]
-
-#: The process-wide engine; bound once — it is never replaced.
-_ENGINE = default_engine()
+__all__ = ["get_process_pool", "shutdown_process_pool",
+           "process_pool_stats"]
 
 #: Test seam: fault injected into the *first* execution of every task
 #: shipped while set.  ``'exit'`` kills the worker process outright
@@ -373,37 +370,6 @@ def _algorithm_ref(algorithm: Any) -> Any:
     return ("object", algorithm)
 
 
-def process_apa_matmul(
-    A: np.ndarray,
-    B: np.ndarray,
-    algorithm: Any,
-    workers: int,
-    lam: float | None = None,
-    strategy: str | None = None,
-    schedule: Schedule | None = None,
-    steps: int | None = None,
-    retries: int | None = None,
-    timeout: float | None = None,
-    check_finite: bool | None = None,
-    report: ExecutionReport | None = None,
-    plan_cache: Any = None,
-) -> np.ndarray:
-    """§3.2 schedule execution on worker *processes* over shared memory.
-
-    The process twin of :func:`~repro.parallel.executor.
-    threaded_apa_matmul`: same parameters (minus ``gemm`` — a custom
-    gemm cannot cross the process boundary; use ``executor='thread'``
-    for gemm/fault seams), same failure ladder, bit-identical results.
-    Routes through the engine, so an active
-    :func:`~repro.core.config.execution_context` resolves normally.
-    """
-    return _ENGINE.matmul(
-        A, B, algorithm, report=report, executor="process",
-        threads=workers, lam=lam, strategy=strategy, schedule=schedule,
-        steps=steps, retries=retries, timeout=timeout,
-        check_finite=check_finite, plan_cache=plan_cache)
-
-
 def _process_matmul_impl(
     A: np.ndarray,
     B: np.ndarray,
@@ -419,11 +385,15 @@ def _process_matmul_impl(
     report: ExecutionReport | None = None,
     plan_cache: Any = None,
 ) -> np.ndarray:
-    """The process-executor body, engine-owned.
+    """§3.2 schedule execution on worker *processes* over shared memory.
 
-    Only :mod:`repro.core.engine` may call this (staticcheck ENG001
-    enforces it); everything else goes through the engine so tracing,
-    guarding, and config resolution stay layered at one point.
+    Reached as ``engine.matmul(A, B, alg, executor="process",
+    threads=workers, ...)``: the process twin of the threaded runner —
+    same knobs minus ``gemm`` (a custom gemm cannot cross the process
+    boundary), same failure ladder, bit-identical results.  Only
+    :mod:`repro.core.engine` may call this (staticcheck ENG001 enforces
+    it); everything else goes through the engine so tracing, guarding,
+    and config resolution stay layered at one point.
     """
     if algorithm.is_surrogate:
         raise ValueError(

@@ -146,7 +146,7 @@ def render_execution_gantt(report, width: int = 72) -> str:
     """ASCII Gantt of a *real* threaded run, failures highlighted.
 
     ``report`` is the :class:`~repro.parallel.executor.ExecutionReport`
-    filled in by ``threaded_apa_matmul(..., report=...)``.  Healthy jobs
+    filled in by ``engine.matmul(..., report=...)``.  Healthy jobs
     draw with ``#``; retried jobs with ``~``; jobs recovered by the
     classical fallback with ``!``; timed-out jobs with ``X``.  Recovery
     events carry a monotonic timestamp on the same clock as the job

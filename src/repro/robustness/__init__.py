@@ -31,7 +31,6 @@ from repro.robustness.guard import (
 )
 from repro.robustness.inject import (
     FaultSpec,
-    FaultyBackend,
     GemmFaultInjector,
     InjectedFault,
     faulty_gemm,
@@ -51,7 +50,6 @@ __all__ = [
     "residual_probe",
     "FaultSpec",
     "GemmFaultInjector",
-    "FaultyBackend",
     "InjectedFault",
     "faulty_gemm",
     "DivergenceGuard",

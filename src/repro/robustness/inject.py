@@ -7,13 +7,13 @@ on demand so every guard path is exercised by ordinary unit tests.  A
 (explicit call indices, or a seeded per-call coin flip), so a failing
 test replays bit-for-bit.
 
-Two wrapping seams cover the whole stack:
-
-- :func:`faulty_gemm` wraps a gemm callable — inject into individual
-  sub-products of :func:`~repro.core.apa_matmul.apa_matmul` or into the
-  jobs of :func:`~repro.parallel.executor.threaded_apa_matmul`;
-- :class:`FaultyBackend` wraps a :class:`~repro.core.backend.MatmulBackend`
-  — inject into a network layer's products mid-training.
+:func:`faulty_gemm` wraps a gemm callable — inject into individual
+sub-products of :func:`~repro.core.apa_matmul.apa_matmul` or into the
+scheduled jobs of ``engine.matmul(..., threads=t)``.  The engine's
+``fault=`` knob builds the same injector: ``engine.backend(fault=spec)``
+injects into a network layer's products mid-training (one call per
+layer product when the layer is classical), armed and disarmed through
+``backend.gemm.active``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["InjectedFault", "FaultSpec", "GemmFaultInjector", "faulty_gemm",
-           "FaultyBackend"]
+__all__ = ["InjectedFault", "FaultSpec", "GemmFaultInjector", "faulty_gemm"]
 
 
 class InjectedFault(RuntimeError):
@@ -164,33 +163,3 @@ def faulty_gemm(spec: FaultSpec, gemm=None) -> GemmFaultInjector:
     """Convenience constructor mirroring ``functools.partial`` usage."""
     return GemmFaultInjector(gemm=gemm, spec=spec)
 
-
-class FaultyBackend:
-    """Backend wrapper injecting ``spec`` into whole-product results.
-
-    Satisfies the :class:`~repro.core.backend.MatmulBackend` protocol;
-    the fault fires per *backend call* (one per layer product), which is
-    the right granularity for training-loop divergence studies.
-    """
-
-    def __init__(self, inner, spec: FaultSpec) -> None:
-        # Built through the inject stage's seam so this class stays a
-        # shim over the backend-stack subsystem: same injector object,
-        # whole-product granularity (the product seam wraps
-        # inner.matmul, not the base-case gemm).
-        from repro.backends.stages import InjectStage
-
-        self.inner = inner
-        self.name = f"faulty:{inner.name}"
-        self.injector = InjectStage(spec).wrap_gemm(inner.matmul)
-
-    @property
-    def active(self) -> bool:
-        return self.injector.active
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        self.injector.active = bool(value)
-
-    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.injector(A, B)

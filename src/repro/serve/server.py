@@ -16,8 +16,8 @@ parts, front to back:
   queued sheddable one).
 - **Coalescing**: queued requests whose admitted config and operand
   shape/dtype allow the engine's batched lane share a *coalesce key*;
-  the dispatcher stacks them into one ``apa_matmul_batched`` stacked
-  call, bit-identical to per-request execution (pinned by test).
+  the dispatcher stacks them into one batched (3-D) engine call in
+  stacked mode, bit-identical to per-request execution (pinned by test).
 - **Execution** (private thread pool — deliberately *not*
   :mod:`repro.parallel.pool`, whose workers the engine's threaded path
   itself uses): per-request deadline enforcement, retries with

@@ -36,8 +36,8 @@ the threaded executor and the robustness stack must never reintroduce:
     internals (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
     ``_batched_matmul_impl``, ``_process_matmul_impl``,
     ``_shard_matmul_impl``) may only be imported or called from
-    ``repro/core/engine.py``.  Every other module must go through a
-    public shim or the :class:`~repro.core.engine.ExecutionEngine`
+    ``repro/core/engine.py``.  Every other module must go through
+    ``apa_matmul`` or the :class:`~repro.core.engine.ExecutionEngine`
     itself — otherwise configs, contexts, guards, and fault injection
     silently stop applying to that call site.
 
@@ -430,7 +430,7 @@ def lint_engine_boundary(source: str, path: str = "<string>") -> list[Finding]:
             findings.append(Finding(
                 "ENG001", Severity.ERROR, f"{path}:{node.lineno}",
                 f"{verb} engine-private {name!r} outside core/engine.py",
-                detail="route the call through a public shim or the "
+                detail="route the call through apa_matmul or the "
                        "ExecutionEngine so configs, contexts, guards, "
                        "and fault injection keep applying",
             ))
@@ -451,7 +451,7 @@ def lint_engine_boundary(source: str, path: str = "<string>") -> list[Finding]:
 #: Constructing one by hand bypasses the canonical stage order, the
 #: stack's plan-key/error-bound contracts, and the config knobs that
 #: activate the same behavior declaratively.
-WRAPPER_CLASS_NAMES = frozenset({"GuardedBackend", "FaultyBackend"})
+WRAPPER_CLASS_NAMES = frozenset({"GuardedBackend"})
 
 
 def _is_backends_module(path: str) -> bool:
@@ -466,7 +466,7 @@ def lint_wrapper_construction(source: str,
     wrapper outside ``repro/backends/`` — stages compose through
     :class:`~repro.backends.stack.BackendStack` (or the config knobs
     ``guarded=`` / ``fault=``), not by hand-nesting wrapper objects.
-    The sanctioned shims carry reasoned inline ignores.
+    The sanctioned exceptions carry reasoned inline ignores.
     """
     if _is_backends_module(path):
         return []

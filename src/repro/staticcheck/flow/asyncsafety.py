@@ -43,8 +43,7 @@ _GEMM_TARGETS = {"numpy.matmul", "numpy.dot", "numpy.einsum",
                  "numpy.tensordot", "numpy.vdot"}
 
 #: Project entry points that are a gemm by contract (leaf names).
-_GEMM_LEAVES = {"apa_matmul", "threaded_apa_matmul", "apa_matmul_batched",
-                "apa_matmul_nonstationary"}
+_GEMM_LEAVES = {"apa_matmul"}
 
 _THREADING_LOCKS = ("threading.Lock", "threading.RLock",
                     "threading.Condition", "threading.Semaphore",

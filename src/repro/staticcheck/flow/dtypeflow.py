@@ -37,8 +37,7 @@ _FLOAT_BITS = {"float16": 16, "float32": 32, "float64": 64,
 _CONSTRUCTORS = {"zeros", "empty", "ones", "full", "array", "asarray",
                  "arange", "linspace", "eye", "identity"}
 _LIKE_CONSTRUCTORS = {"zeros_like", "empty_like", "ones_like", "full_like"}
-_GEMM_LEAVES = {"matmul", "dot", "gemm", "apa_matmul",
-                "threaded_apa_matmul", "apa_matmul_batched"}
+_GEMM_LEAVES = {"matmul", "dot", "gemm", "apa_matmul"}
 _MAX_DEPTH = 4
 
 

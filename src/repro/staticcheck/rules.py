@@ -111,11 +111,11 @@ _RULE_LIST: tuple[RuleInfo, ...] = (
              "(_apa_matmul_impl / _threaded_matmul_impl / "
              "_batched_matmul_impl / _process_matmul_impl / "
              "_shard_matmul_impl) imported or called outside "
-             "core/engine.py — go through a public shim or the "
+             "core/engine.py — go through apa_matmul or the "
              "ExecutionEngine"),
     RuleInfo("ENG002", Severity.ERROR,
-             "direct wrapper construction: a backend wrapper class "
-             "(GuardedBackend / FaultyBackend) instantiated outside "
+             "direct wrapper construction: the backend wrapper class "
+             "GuardedBackend instantiated outside "
              "repro/backends/ — compose stages through "
              "BackendStack.from_config or the guarded=/fault= config "
              "knobs"),

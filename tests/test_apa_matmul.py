@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from repro.algorithms.analysis import predicted_error_bound
 from repro.algorithms.catalog import get_algorithm
-from repro.core.apa_matmul import apa_matmul, apa_matmul_nonstationary
+from repro.core.apa_matmul import apa_matmul
+from repro.core.engine import default_engine
 from repro.core.plan import combine
+
+ENGINE = default_engine()
 
 
 def _terms(coeffs):
@@ -205,19 +208,21 @@ class TestValidation:
 
 
 class TestNonStationary:
+    """Paper §6: a tuple of algorithms, one per recursion level."""
+
     def test_exact_chain(self, rng):
         A = rng.random((24, 24))
         B = rng.random((24, 24))
-        C = apa_matmul_nonstationary(
-            A, B, [get_algorithm("strassen222"), get_algorithm("strassen222")]
+        C = ENGINE.matmul(
+            A, B, (get_algorithm("strassen222"), get_algorithm("strassen222"))
         )
         assert np.allclose(C, A @ B, rtol=1e-9, atol=1e-10)
 
     def test_mixed_chain_small_error(self, rng):
         A = rng.random((36, 24))
         B = rng.random((24, 24))
-        C = apa_matmul_nonstationary(
-            A, B, [get_algorithm("bini322"), get_algorithm("strassen222")]
+        C = ENGINE.matmul(
+            A, B, (get_algorithm("bini322"), get_algorithm("strassen222"))
         )
         ref = A @ B
         rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
@@ -225,13 +230,13 @@ class TestNonStationary:
 
     def test_empty_chain_rejected(self, rng):
         with pytest.raises(ValueError):
-            apa_matmul_nonstationary(rng.random((4, 4)), rng.random((4, 4)), [])
+            ENGINE.matmul(rng.random((4, 4)), rng.random((4, 4)), ())
 
     def test_surrogate_rejected(self, rng):
         with pytest.raises(ValueError, match="surrogate"):
-            apa_matmul_nonstationary(
+            ENGINE.matmul(
                 rng.random((4, 4)), rng.random((4, 4)),
-                [get_algorithm("smirnov444")],
+                (get_algorithm("smirnov444"),),
             )
 
 

@@ -348,14 +348,13 @@ def test_legacy_wrappers_are_reexports():
 
 
 def test_faulty_backend_routes_through_inject_stage(operands):
-    from repro.core.backend import make_backend
-    from repro.robustness.inject import FaultSpec, FaultyBackend, \
-        GemmFaultInjector
+    from repro.core.engine import default_engine
+    from repro.robustness.inject import FaultSpec, GemmFaultInjector
 
     A, B = operands
-    fb = FaultyBackend(make_backend(None),
-                       FaultSpec(kind="perturb", magnitude=1e-3, calls=(0,)))
-    assert isinstance(fb.injector, GemmFaultInjector)
+    fb = default_engine().backend(
+        fault=FaultSpec(kind="perturb", magnitude=1e-3, calls=(0,)))
+    assert isinstance(fb.gemm, GemmFaultInjector)
     C = fb.matmul(A, B)
-    assert fb.injector.faults_fired == 1
+    assert fb.gemm.faults_fired == 1
     assert not np.array_equal(C, A @ B)

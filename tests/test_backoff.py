@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.catalog import get_algorithm
+from repro.core.engine import default_engine
 from repro.parallel.backoff import BackoffPolicy, BackoffSequence
-from repro.parallel.executor import (
-    DEFAULT_BACKOFF,
-    ExecutionReport,
-    threaded_apa_matmul,
-)
+from repro.parallel.executor import DEFAULT_BACKOFF, ExecutionReport
 from repro.robustness.inject import FaultSpec, faulty_gemm
+
+ENGINE = default_engine()
 
 
 class TestBackoffPolicy:
@@ -92,8 +91,8 @@ class TestExecutorBackoff:
                                      period=None))
         A = rng.random((32, 32)).astype(np.float32)
         B = rng.random((32, 32)).astype(np.float32)
-        C = threaded_apa_matmul(A, B, get_algorithm("bini322"), threads=1,
-                                retries=1, gemm=gemm, report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("bini322"), threads=1,
+                          retries=1, gemm=gemm, report=report)
         assert np.isfinite(C).all()
         assert report.backoff_delays == slept
         assert len(report.backoff_delays) >= 1
@@ -108,6 +107,6 @@ class TestExecutorBackoff:
     def test_clean_run_records_no_delays(self, rng):
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        threaded_apa_matmul(A, B, get_algorithm("strassen222"), threads=2,
-                            retries=2, report=report)
+        ENGINE.matmul(A, B, get_algorithm("strassen222"), threads=2,
+                      retries=2, report=report)
         assert report.backoff_delays == []

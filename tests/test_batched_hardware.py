@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.catalog import get_algorithm
 from repro.core.apa_matmul import apa_matmul
-from repro.core.batched import apa_matmul_batched
+from repro.core.engine import default_engine
 from repro.experiments.hardware import (
     format_hardware_sensitivity,
     high_bandwidth_machine,
@@ -17,14 +17,18 @@ from repro.experiments.hardware import (
 from repro.machine.spec import paper_machine
 from tests._reference_bilinear import reference_matmul
 
+ENGINE = default_engine()
+
 
 class TestBatched:
+    """3-D operands through ``engine.matmul`` (``batch_mode=``)."""
+
     @pytest.mark.parametrize("mode", ["loop", "stacked"])
     def test_matches_per_item_execution(self, mode, rng):
         alg = get_algorithm("bini322")
         A = rng.random((4, 30, 26)).astype(np.float32)
         B = rng.random((4, 26, 18)).astype(np.float32)
-        batched = apa_matmul_batched(A, B, alg, mode=mode)
+        batched = ENGINE.matmul(A, B, alg, batch_mode=mode)
         for i in range(4):
             single = apa_matmul(A[i], B[i], alg)
             assert np.array_equal(batched[i], single)
@@ -35,40 +39,40 @@ class TestBatched:
         alg = get_algorithm("strassen444")
         A = rng.random((3, 17, 21))
         B = rng.random((3, 21, 13))
-        C = apa_matmul_batched(A, B, alg)
+        C = ENGINE.matmul(A, B, alg)
         assert np.allclose(C, A @ B, rtol=1e-9, atol=1e-10)
 
     def test_surrogate_dispatch(self, rng):
         alg = get_algorithm("smirnov444")
         A = rng.random((3, 32, 32)).astype(np.float32)
         B = rng.random((3, 32, 32)).astype(np.float32)
-        C = apa_matmul_batched(A, B, alg)
+        C = ENGINE.matmul(A, B, alg)
         rel = np.linalg.norm(C - A @ B) / np.linalg.norm(A @ B)
         assert 0 < rel < alg.error_bound(23)
 
     def test_empty_batch(self, rng):
         alg = get_algorithm("strassen222")
-        C = apa_matmul_batched(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)), alg)
+        C = ENGINE.matmul(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)), alg)
         assert C.shape == (0, 8, 8)
 
     def test_validation(self, rng):
         alg = get_algorithm("strassen222")
         with pytest.raises(ValueError, match="3-D"):
-            apa_matmul_batched(rng.random((4, 4)), rng.random((4, 4)), alg)
+            ENGINE.matmul(rng.random((2, 4, 4)), rng.random((4, 4)), alg)
         with pytest.raises(ValueError, match="batch sizes"):
-            apa_matmul_batched(rng.random((2, 4, 4)), rng.random((3, 4, 4)), alg)
+            ENGINE.matmul(rng.random((2, 4, 4)), rng.random((3, 4, 4)), alg)
         with pytest.raises(ValueError, match="inner dims"):
-            apa_matmul_batched(rng.random((2, 4, 5)), rng.random((2, 4, 4)), alg)
+            ENGINE.matmul(rng.random((2, 4, 5)), rng.random((2, 4, 4)), alg)
         with pytest.raises(ValueError, match="mode"):
-            apa_matmul_batched(rng.random((2, 4, 4)), rng.random((2, 4, 4)),
-                               alg, mode="warp")
+            ENGINE.matmul(rng.random((2, 4, 4)), rng.random((2, 4, 4)),
+                          alg, batch_mode="warp")
 
     def test_inputs_not_mutated(self, rng):
         alg = get_algorithm("bini322")
         A = rng.random((2, 12, 12)).astype(np.float32)
         B = rng.random((2, 12, 12)).astype(np.float32)
         A0, B0 = A.copy(), B.copy()
-        apa_matmul_batched(A, B, alg, mode="stacked")
+        ENGINE.matmul(A, B, alg, batch_mode="stacked")
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
 
 

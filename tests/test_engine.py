@@ -1,15 +1,13 @@
 """Cross-path bit-identity and config semantics for the ExecutionEngine.
 
-Every public matmul entry point — ``apa_matmul``,
-``apa_matmul_nonstationary``, ``apa_matmul_batched``,
-``threaded_apa_matmul``, and the backend factories — is a thin shim
-over :class:`repro.core.engine.ExecutionEngine`.  This suite pins that
-the refactor is invisible: every path returns ``np.array_equal``
-results against the sequential reference (including combos the
-pre-engine code could not express, like nonstationary-with-plan-cache
-and threaded-inside-guarded), the precedence rule (explicit kwarg >
-backend field > active context > defaults) holds, and removed-behavior
-combos raise clear errors.
+Every product runs through :class:`repro.core.engine.ExecutionEngine`:
+``apa_matmul`` (its sequential fast lane), ``engine.matmul`` (threads,
+process workers, batched 3-D operands, non-stationary level lists) and
+``engine.backend``.  This suite pins that every runner returns
+``np.array_equal`` results against the sequential reference (including
+combos like nonstationary-with-plan-cache and threaded-inside-guarded),
+the precedence rule (explicit kwarg > backend field > active context >
+defaults) holds, and invalid combos raise clear errors.
 """
 
 from __future__ import annotations
@@ -20,14 +18,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.catalog import get_algorithm
-from repro.core import make_backend
-from repro.core.apa_matmul import apa_matmul, apa_matmul_nonstationary
-from repro.core.backend import APABackend
-from repro.core.batched import apa_matmul_batched
+from repro.core.apa_matmul import apa_matmul
+from repro.core.backend import ClassicalBackend
 from repro.core.config import ExecutionConfig, execution_context
 from repro.core.engine import ExecutionEngine, default_engine
 from repro.core.plan import PlanCache
-from repro.parallel.executor import ExecutionReport, threaded_apa_matmul
+from repro.parallel.executor import ExecutionReport
 from repro.robustness.guard import GuardedBackend
 from repro.robustness.inject import FaultSpec, faulty_gemm
 from tests._reference_bilinear import reference_matmul
@@ -72,14 +68,12 @@ class TestCrossPathBitIdentity:
                                         plan_cache=False),
             "private cache": engine.matmul(A, B, alg, steps=steps,
                                            plan_cache=PlanCache()),
-            "threaded shim": threaded_apa_matmul(A, B, alg, threads=2,
-                                                 steps=steps),
             "engine threads=2": engine.matmul(A, B, alg, steps=steps,
                                               threads=2),
-            "guarded factory": make_backend(name, steps=steps,
-                                            guarded=True).matmul(A, B),
             "engine guarded": engine.matmul(A, B, alg, steps=steps,
                                             guarded=True),
+            "guarded backend": engine.backend(
+                algorithm=name, steps=steps, guarded=True).matmul(A, B),
         }
         for label, C in paths.items():
             assert np.array_equal(C, expected), label
@@ -95,7 +89,7 @@ class TestCrossPathBitIdentity:
         assert np.array_equal(
             apa_matmul(A, B, alg, lam=lam, plan_cache=False), expected)
         assert np.array_equal(
-            threaded_apa_matmul(A, B, alg, threads=2, lam=lam), expected)
+            engine.matmul(A, B, alg, threads=2, lam=lam), expected)
 
     def test_string_names_resolve_everywhere(self):
         A, B = _operands((16, 12, 20), np.float32)
@@ -108,34 +102,35 @@ class TestCrossPathBitIdentity:
         A, B = _operands((20, 24, 16), np.float64)
         engine = default_engine()
         assert np.array_equal(engine.matmul(A, B, None), A @ B)
-        assert np.array_equal(make_backend(None).matmul(A, B), A @ B)
+        assert np.array_equal(ClassicalBackend().matmul(A, B), A @ B)
+        assert np.array_equal(engine.backend().matmul(A, B), A @ B)
 
 
 class TestGuardedEscalationIdentity:
     def test_engine_guard_walks_the_same_ladder_as_the_legacy_guard(self):
         """Identical FaultSpec seeds → identical recovery trajectories.
 
-        The legacy stack (GuardedBackend over APABackend over a faulty
-        gemm) and the engine stack (guarded=True config with a fault
-        spec) must produce bit-identical results call after call,
+        A hand-built stack (GuardedBackend over an engine backend over a
+        faulty gemm) and the engine stack (guarded=True config with a
+        fault spec) must produce bit-identical results call after call,
         including through escalation and recompute.
         """
         alg = get_algorithm("bini322")
         A, B = _operands((64, 64, 64), np.float32, seed=3)
         spec = FaultSpec(kind="nan", calls=(2,), period=BINI_RANK, seed=0)
 
-        legacy = GuardedBackend(
-            APABackend(algorithm=alg, gemm=faulty_gemm(spec)))
         engine = ExecutionEngine()
+        by_hand = GuardedBackend(
+            engine.backend(algorithm=alg, gemm=faulty_gemm(spec)))
         engined = engine.backend(algorithm=alg, guarded=True, fault=spec)
 
         for _ in range(3):
-            C_legacy = legacy.matmul(A, B)
+            C_by_hand = by_hand.matmul(A, B)
             C_engine = engined.matmul(A, B)
-            assert np.array_equal(C_legacy, C_engine)
+            assert np.array_equal(C_by_hand, C_engine)
             assert np.isfinite(C_engine).all()
-        assert legacy.violations == engined.violations > 0
-        assert legacy.fallback_calls == engined.fallback_calls
+        assert by_hand.violations == engined.violations > 0
+        assert by_hand.fallback_calls == engined.fallback_calls
 
     def test_guard_state_persists_across_engine_calls(self):
         spec = FaultSpec(kind="nan", calls=(2,), period=BINI_RANK, seed=0)
@@ -147,33 +142,36 @@ class TestGuardedEscalationIdentity:
 
 
 class TestNonstationary:
-    """The satellite fix: §6 recursion gains plan caching, threading,
-    and guarding through the engine — all bit-identical."""
+    """§6 recursion (a tuple of algorithms, one per level) with plan
+    caching, threading, and guarding through the engine — all
+    bit-identical."""
 
     def test_cross_path_identity_including_new_capabilities(self):
-        algs = [get_algorithm("bini322"), get_algorithm("strassen222")]
+        algs = (get_algorithm("bini322"), get_algorithm("strassen222"))
         A, B = _operands((24, 20, 28), np.float32)
-        expected = apa_matmul_nonstationary(A, B, algs)
+        engine = default_engine()
+        expected = engine.matmul(A, B, algs)
 
-        # direct engine call with a tuple algorithm
+        # catalog names resolve per level
         assert np.array_equal(
-            default_engine().matmul(A, B, tuple(algs)), expected)
+            engine.matmul(A, B, ("bini322", "strassen222")), expected)
 
-        # plan cache now flows into every level (previously impossible)
+        # the plan cache flows into every level
         cache = PlanCache()
-        C = apa_matmul_nonstationary(A, B, algs, plan_cache=cache)
+        C = engine.matmul(A, B, algs, plan_cache=cache)
         assert np.array_equal(C, expected)
         assert cache.stats()["misses"] > 0, "plans never materialized"
-        C = apa_matmul_nonstationary(A, B, algs, plan_cache=cache)
+        C = engine.matmul(A, B, algs, plan_cache=cache)
         assert np.array_equal(C, expected)
         assert cache.stats()["hits"] > 0
 
-        # threaded outer level (previously impossible)
+        # threaded outer level
         assert np.array_equal(
-            apa_matmul_nonstationary(A, B, algs, threads=2), expected)
+            engine.matmul(A, B, algs, threads=2), expected)
 
-        # guarded non-stationary backend (previously impossible)
-        guarded = make_backend(["bini322", "strassen222"], guarded=True)
+        # guarded non-stationary backend
+        guarded = ExecutionEngine().backend(
+            algorithm=("bini322", "strassen222"), guarded=True)
         assert guarded.name == "guarded:apa:bini322+strassen222"
         assert np.array_equal(guarded.matmul(A, B), expected)
         assert guarded.violations == 0
@@ -191,10 +189,13 @@ class TestNonstationary:
             calls["uncached"] += 1
             return X @ Y
 
-        cached = apa_matmul_nonstationary(
-            A, B, algs, gemm=counting_gemm_cached, plan_cache=PlanCache())
-        uncached = apa_matmul_nonstationary(
-            A, B, algs, gemm=counting_gemm_uncached, plan_cache=False)
+        engine = default_engine()
+        cached = engine.matmul(
+            A, B, tuple(algs), gemm=counting_gemm_cached,
+            plan_cache=PlanCache())
+        uncached = engine.matmul(
+            A, B, tuple(algs), gemm=counting_gemm_uncached,
+            plan_cache=False)
         # Strassen twice is Strassen at two levels: the reference pins both.
         expected = reference_matmul(A, B, algs[0], steps=2, lam=1.0)
         assert np.array_equal(cached, expected)
@@ -203,40 +204,81 @@ class TestNonstationary:
         assert calls["cached"] == calls["uncached"] == 49
 
     def test_empty_level_list_raises(self):
+        # Fails when the config is built, never inside dispatch.
         A, B = _operands((8, 8, 8), np.float32)
+        for empty in ((), []):
+            with pytest.raises(ValueError,
+                               match="need at least one algorithm"):
+                ExecutionConfig(algorithm=empty)
         with pytest.raises(ValueError, match="need at least one algorithm"):
-            apa_matmul_nonstationary(A, B, [])
+            default_engine().matmul(A, B, ())
 
     def test_surrogate_level_raises_the_legacy_message(self):
         A, B = _operands((8, 8, 8), np.float32)
         surrogate = get_algorithm("smirnov433")
         with pytest.raises(ValueError, match="is a surrogate"):
-            apa_matmul_nonstationary(
-                A, B, [get_algorithm("bini322"), surrogate])
+            default_engine().matmul(
+                A, B, (get_algorithm("bini322"), surrogate))
 
     def test_backend_steps_with_level_list_raises(self):
+        # steps used to be silently ignored on engine.matmul: the level
+        # list *is* the recursion, so the config rejects it when built.
+        levels = ("bini322", "strassen222")
+        A, B = _operands((8, 8, 8), np.float32)
         with pytest.raises(ValueError, match="level list is the recursion"):
-            make_backend(["bini322", "strassen222"], steps=2)
+            ExecutionConfig(algorithm=levels, steps=3)
+        with pytest.raises(ValueError, match="level list is the recursion"):
+            default_engine().matmul(A, B, levels, steps=3)
+        with pytest.raises(ValueError, match="level list is the recursion"):
+            default_engine().backend(algorithm=levels, steps=2)
+        # steps=1 is the level list's own depth and stays accepted
+        assert ExecutionConfig(algorithm=levels, steps=1).steps == 1
+
+    def test_inherited_steps_with_level_list(self):
+        # Only the merged config is checked.  An inherited steps (context
+        # or engine config) meeting a level list raises too; an explicit
+        # steps=1 resolves it.  A lower-layer conflict that a higher layer
+        # overrides never has to stand on its own.
+        levels = ("bini322", "strassen222")
+        A, B = _operands((8, 8, 8), np.float32)
+        expected = default_engine().matmul(A, B, levels)
+        be = default_engine().backend(algorithm=levels)
+        with execution_context(steps=2):
+            with pytest.raises(ValueError,
+                               match="level list is the recursion"):
+                be.matmul(A, B)
+            assert np.array_equal(
+                default_engine().matmul(A, B, levels, steps=1), expected)
+        stepped = ExecutionEngine(ExecutionConfig(steps=2))
+        with pytest.raises(ValueError, match="level list is the recursion"):
+            stepped.matmul(A, B, levels)
+        with execution_context(algorithm=levels):
+            C = stepped.matmul(A, B, "strassen222")
+        assert np.array_equal(
+            C, default_engine().matmul(A, B, "strassen222", steps=2))
 
 
 class TestBatched:
     def test_shim_and_engine_agree(self):
+        # Stacked (the default) and loop batches both equal the 2-D
+        # product of every item.
         alg = get_algorithm("bini322")
         gen = np.random.default_rng(7)
         A = gen.random((4, 12, 10)).astype(np.float32)
         B = gen.random((4, 10, 14)).astype(np.float32)
-        expected = apa_matmul_batched(A, B, alg)
-        assert np.array_equal(default_engine().matmul(A, B, alg), expected)
-        loop = apa_matmul_batched(A, B, alg, mode="loop")
+        engine = default_engine()
+        expected = np.stack([apa_matmul(A[i], B[i], alg) for i in range(4)])
+        assert np.array_equal(engine.matmul(A, B, alg), expected)
         assert np.array_equal(
-            default_engine().matmul(A, B, alg, batch_mode="loop"), loop)
+            engine.matmul(A, B, alg, batch_mode="stacked"), expected)
+        assert np.array_equal(
+            engine.matmul(A, B, alg, batch_mode="loop"), expected)
 
     def test_legacy_mode_message_survives(self):
         alg = get_algorithm("bini322")
         A = np.zeros((2, 4, 4), dtype=np.float32)
-        with pytest.raises(ValueError,
-                           match="mode must be 'loop' or 'stacked'"):
-            apa_matmul_batched(A, A, alg, mode="bogus")
+        with pytest.raises(ValueError, match="unknown batch_mode 'bogus'"):
+            default_engine().matmul(A, A, alg, batch_mode="bogus")
 
     def test_batched_has_no_gemm_seam(self):
         alg = get_algorithm("bini322")
@@ -319,18 +361,19 @@ class TestPrecedence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_thread_shim_under_context_matches_no_context(
             self, name, dtype):
-        # Under a context the threaded shim goes through the engine's
-        # runner rule: threads=1 with no report/retries/timeout/
-        # check_finite/schedule runs the sequential plan, and must stay
-        # bitwise equal to the no-context threaded call.
+        # The runner rule: threads=1 with no report/retries/timeout/
+        # check_finite/schedule runs the sequential plan, a report
+        # selects the threaded runner; under a context or not, both
+        # stay bitwise equal to apa_matmul.
         alg = get_algorithm(name)
         A, B = _operands((24, 20, 28), dtype)
-        plain = threaded_apa_matmul(A, B, alg, threads=1)
+        engine = default_engine()
+        plain = apa_matmul(A, B, alg)
+        assert np.array_equal(engine.matmul(A, B, alg, threads=1), plain)
         report = ExecutionReport()
         with execution_context(tuned=False):
-            inside = threaded_apa_matmul(A, B, alg, threads=1)
-            reported = threaded_apa_matmul(A, B, alg, threads=1,
-                                           report=report)
+            inside = engine.matmul(A, B, alg, threads=1)
+            reported = engine.matmul(A, B, alg, threads=1, report=report)
         assert inside.dtype == plain.dtype
         assert np.array_equal(inside, plain)
         assert np.array_equal(reported, plain)
@@ -425,8 +468,10 @@ class TestConfigValidation:
                        get_algorithm("bini322"))
 
     def test_unknown_backend_name_message_survives(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            make_backend("classical_v2")
+        # A near-miss of a catalog name fails at construction, naming
+        # the known algorithms.
+        with pytest.raises(KeyError, match="unknown algorithm.*bini322"):
+            default_engine().backend(algorithm="classical_v2")
 
 
 # ----------------------------------------------------------------------
@@ -478,8 +523,9 @@ class TestEnginePlumbing:
         gen = np.random.default_rng(0)
         model = Sequential([
             Dense(16, 16,
-                  backend=make_backend(["bini322", "strassen222"],
-                                       plan_cache=cache_ns),
+                  backend=default_engine().backend(
+                      algorithm=("bini322", "strassen222"),
+                      plan_cache=cache_ns),
                   rng=gen),
             ReLU(),
             Dense(16, 10,

@@ -1,4 +1,9 @@
-"""Tests for the real threaded executor."""
+"""Tests for the real threaded executor (``engine.matmul(threads=...)``).
+
+With ``threads=1`` the engine runs the sequential plan unless
+``retries``/``timeout``/``check_finite``/``schedule``/``report`` ask
+for the scheduled runner.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,14 @@ import numpy as np
 import pytest
 
 from repro.algorithms.catalog import get_algorithm
-from repro.parallel.executor import ExecutionReport, threaded_apa_matmul
+from repro.core.engine import default_engine
+from repro.parallel.executor import ExecutionReport
 from repro.parallel.strategy import build_schedule
 from repro.parallel.tracing import render_execution_gantt
 from repro.robustness.inject import FaultSpec, faulty_gemm
 from tests._reference_bilinear import reference_matmul
+
+ENGINE = default_engine()
 
 
 class TestNumericalEquivalence:
@@ -19,9 +27,13 @@ class TestNumericalEquivalence:
     def test_exact_algorithm_all_strategies(self, strategy, threads, rng):
         A = rng.random((64, 48)).astype(np.float32)
         B = rng.random((48, 40)).astype(np.float32)
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=threads, strategy=strategy)
+        # The report keeps threads=1 on the threaded runner, so the
+        # strategy's schedule is what runs.
+        report = ExecutionReport()
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=threads, strategy=strategy, report=report)
         assert np.allclose(C, A @ B, rtol=1e-5, atol=1e-5)
+        assert len(report.jobs) == 7
 
     def test_matches_reference_bitwise_for_exact(self, rng):
         """Threading changes only *where* products run, not the arithmetic:
@@ -32,9 +44,9 @@ class TestNumericalEquivalence:
         alg = get_algorithm("strassen222")
         expected = reference_matmul(A, B, alg)
         assert np.array_equal(
-            threaded_apa_matmul(A, B, alg, threads=4), expected)
+            ENGINE.matmul(A, B, alg, threads=4), expected)
         assert np.array_equal(
-            threaded_apa_matmul(A, B, alg, threads=4, plan_cache=False),
+            ENGINE.matmul(A, B, alg, threads=4, plan_cache=False),
             expected)
 
     def test_apa_algorithm_error_in_bound(self, rng):
@@ -42,14 +54,14 @@ class TestNumericalEquivalence:
         A = rng.random((90, 90)).astype(np.float32)
         B = rng.random((90, 90)).astype(np.float32)
         ref = A.astype(np.float64) @ B.astype(np.float64)
-        C = threaded_apa_matmul(A, B, alg, threads=3)
+        C = ENGINE.matmul(A, B, alg, threads=3)
         rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
         assert rel < 8 * alg.error_bound(d=23)
 
     def test_ragged_shapes(self, rng):
         A = rng.random((37, 23))
         B = rng.random((23, 19))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen444"), threads=2)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen444"), threads=2)
         assert C.shape == (37, 19)
         assert np.allclose(C, A @ B, rtol=1e-9)
 
@@ -57,25 +69,25 @@ class TestNumericalEquivalence:
 class TestPlumbing:
     def test_surrogate_rejected(self, rng):
         with pytest.raises(ValueError, match="surrogate"):
-            threaded_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                                get_algorithm("smirnov444"), threads=2)
+            ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                          get_algorithm("smirnov444"), threads=2)
 
     def test_bad_shapes(self, rng):
         with pytest.raises(ValueError):
-            threaded_apa_matmul(rng.random((8, 7)), rng.random((8, 8)),
-                                get_algorithm("strassen222"), threads=2)
+            ENGINE.matmul(rng.random((8, 7)), rng.random((8, 8)),
+                          get_algorithm("strassen222"), threads=2)
 
     def test_bad_threads(self, rng):
         with pytest.raises(ValueError):
-            threaded_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                                get_algorithm("strassen222"), threads=0)
+            ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                          get_algorithm("strassen222"), threads=0)
 
     def test_custom_schedule(self, rng):
         alg = get_algorithm("strassen222")
         sched = build_schedule(alg.rank, 2, "bfs")
         A = rng.random((16, 16))
         B = rng.random((16, 16))
-        C = threaded_apa_matmul(A, B, alg, threads=2, schedule=sched)
+        C = ENGINE.matmul(A, B, alg, threads=2, schedule=sched)
         assert np.allclose(C, A @ B, rtol=1e-9)
 
     def test_custom_gemm_counts_products(self, rng):
@@ -85,17 +97,20 @@ class TestPlumbing:
             calls.append(1)
             return X @ Y
 
-        threaded_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                            get_algorithm("strassen222"), threads=1, gemm=spy)
+        report = ExecutionReport()
+        ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                      get_algorithm("strassen222"), threads=1, gemm=spy,
+                      report=report)
         assert len(calls) == 7
+        assert len(report.jobs) == 7  # ran on the threaded runner
 
     def test_bad_retries_and_timeout(self, rng):
         A, B = rng.random((8, 8)), rng.random((8, 8))
         alg = get_algorithm("strassen222")
         with pytest.raises(ValueError, match="retries"):
-            threaded_apa_matmul(A, B, alg, threads=1, retries=-1)
+            ENGINE.matmul(A, B, alg, threads=1, retries=-1)
         with pytest.raises(ValueError, match="timeout"):
-            threaded_apa_matmul(A, B, alg, threads=2, timeout=0.0)
+            ENGINE.matmul(A, B, alg, threads=2, timeout=0.0)
 
 
 class TestFailureRecovery:
@@ -109,9 +124,9 @@ class TestFailureRecovery:
         gemm = faulty_gemm(FaultSpec(kind="raise", calls=(2,)))
         report = ExecutionReport()
         A, B = rng.random((32, 32)), rng.random((32, 32))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=threads, gemm=gemm, retries=1,
-                                report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=threads, gemm=gemm, retries=1,
+                          report=report)
         assert np.allclose(C, A @ B, rtol=1e-9)
         statuses = [j.status for j in report.jobs]
         assert statuses.count("retried") == 1
@@ -128,9 +143,9 @@ class TestFailureRecovery:
         gemm = faulty_gemm(FaultSpec(kind="raise", calls=(4, 5)))
         report = ExecutionReport()
         A, B = rng.random((24, 24)), rng.random((24, 24))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=1, gemm=gemm, retries=1,
-                                report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=1, gemm=gemm, retries=1,
+                          report=report)
         assert np.allclose(C, A @ B, rtol=1e-9)
         statuses = {j.mult: j.status for j in report.jobs}
         assert statuses[4] == "fallback"
@@ -143,8 +158,8 @@ class TestFailureRecovery:
         gemm = faulty_gemm(FaultSpec(kind="raise", probability=1.0))
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=2, gemm=gemm, report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=2, gemm=gemm, report=report)
         assert np.allclose(C, A @ B, rtol=1e-9)
         assert all(j.status == "fallback" for j in report.jobs)
         assert report.events.count("job-fallback") == 7
@@ -153,9 +168,9 @@ class TestFailureRecovery:
         gemm = faulty_gemm(FaultSpec(kind="nan", calls=(3,)))
         report = ExecutionReport()
         A, B = rng.random((20, 20)), rng.random((20, 20))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=1, gemm=gemm, check_finite=True,
-                                report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=1, gemm=gemm, check_finite=True,
+                          report=report)
         assert np.isfinite(C).all()
         assert np.allclose(C, A @ B, rtol=1e-9)
         assert report.events.count("worker-nonfinite") == 1
@@ -165,18 +180,24 @@ class TestFailureRecovery:
     def test_nan_block_propagates_without_check_finite(self, rng):
         gemm = faulty_gemm(FaultSpec(kind="nan", calls=(3,)))
         A, B = rng.random((20, 20)), rng.random((20, 20))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=1, gemm=gemm, check_finite=False)
+        report = ExecutionReport()
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=1, gemm=gemm, check_finite=False,
+                          report=report)
         assert np.isnan(C).any()  # silent by default — opt-in detection
+        # The threaded runner saw the block and let it through.
+        assert len(report.jobs) == 7
+        assert all(j.status == "ok" for j in report.jobs)
+        assert report.events.count("worker-nonfinite") == 0
 
     def test_stalled_worker_times_out_and_is_rescued(self, rng):
         gemm = faulty_gemm(FaultSpec(kind="stall", calls=(0,),
                                      stall_seconds=1.5))
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=2, gemm=gemm, timeout=0.2,
-                                report=report)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=2, gemm=gemm, timeout=0.2,
+                          report=report)
         assert np.allclose(C, A @ B, rtol=1e-9)
         statuses = {j.mult: j.status for j in report.jobs}
         assert statuses[0] == "timeout-fallback"
@@ -189,7 +210,7 @@ class TestFailureRecovery:
         gemm = faulty_gemm(FaultSpec(kind="raise", calls=(2,), period=10))
         A = rng.random((60, 60)).astype(np.float32)
         B = rng.random((60, 60)).astype(np.float32)
-        C = threaded_apa_matmul(A, B, alg, threads=2, gemm=gemm)
+        C = ENGINE.matmul(A, B, alg, threads=2, gemm=gemm)
         ref = A.astype(np.float64) @ B.astype(np.float64)
         rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
         assert rel < 8 * alg.error_bound(d=23)
@@ -200,8 +221,8 @@ class TestExecutionGantt:
         gemm = faulty_gemm(FaultSpec(kind="nan", calls=(3,)))
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        threaded_apa_matmul(A, B, get_algorithm("strassen222"), threads=1,
-                            gemm=gemm, check_finite=True, report=report)
+        ENGINE.matmul(A, B, get_algorithm("strassen222"), threads=1,
+                      gemm=gemm, check_finite=True, report=report)
         art = render_execution_gantt(report)
         assert "1 recovered" in art
         assert "M4" in art and "fallback" in art
@@ -211,8 +232,8 @@ class TestExecutionGantt:
     def test_healthy_run_renders_clean(self, rng):
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        threaded_apa_matmul(A, B, get_algorithm("strassen222"), threads=2,
-                            report=report)
+        ENGINE.matmul(A, B, get_algorithm("strassen222"), threads=2,
+                      report=report)
         art = render_execution_gantt(report)
         assert "all healthy" in art
         assert "#" in art and "!" not in art

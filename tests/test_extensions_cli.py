@@ -72,6 +72,11 @@ def run_cli(*argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _rel_error(text: str) -> str:
+    """The ``rel_error=...`` token of a ``repro matmul`` report."""
+    return next(tok for tok in text.split() if tok.startswith("rel_error="))
+
+
 class TestCLI:
     def test_list(self):
         code, text = run_cli("list")
@@ -113,6 +118,44 @@ class TestCLI:
         code, text = run_cli("matmul", "strassen222", "--n", "40",
                              "--steps", "2")
         assert code == 0
+
+    def test_matmul_guarded_reports_the_guard(self):
+        _, plain = run_cli("matmul", "bini322", "--n", "64")
+        code, text = run_cli("matmul", "bini322", "--n", "64", "--guarded")
+        assert code == 0
+        # a healthy guarded product is the plain product
+        assert _rel_error(text) == _rel_error(plain)
+        assert "guard: 1 call(s), 0 violation(s), 0 fallback(s)" in text
+
+    def test_matmul_process_executor(self):
+        _, plain = run_cli("matmul", "bini322", "--n", "64")
+        code, text = run_cli("matmul", "bini322", "--n", "64",
+                             "--executor", "process", "--threads", "2")
+        assert code == 0
+        assert _rel_error(text) == _rel_error(plain)
+
+    def test_matmul_level_list(self):
+        from repro.algorithms.catalog import get_algorithm
+        from repro.core.engine import default_engine
+
+        code, text = run_cli("matmul", "bini322,strassen222", "--n", "64")
+        assert code == 0
+        assert text.startswith(
+            "non-stationary [bini322<3,2,2>:10 strassen222<2,2,2>:7]")
+        # the CLI's operands, through the engine's level-list dispatch
+        rng = np.random.default_rng(0)
+        A = rng.random((64, 64)).astype(np.float32)
+        B = rng.random((64, 64)).astype(np.float32)
+        C = default_engine().matmul(
+            A, B, (get_algorithm("bini322"), get_algorithm("strassen222")))
+        ref = A.astype(np.float64) @ B.astype(np.float64)
+        err = float(np.linalg.norm(C - ref) / np.linalg.norm(ref))
+        assert _rel_error(text) == f"rel_error={err:.2e}"
+
+    def test_matmul_level_list_rejects_steps(self):
+        with pytest.raises(ValueError, match="level list is the recursion"):
+            run_cli("matmul", "bini322,strassen222", "--n", "16",
+                    "--steps", "2")
 
     def test_save_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "alg.json")

@@ -7,7 +7,8 @@ import pytest
 
 from repro.algorithms.analysis import predicted_error_bound
 from repro.algorithms.catalog import get_algorithm
-from repro.core.backend import APABackend, ClassicalBackend
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import EngineBackend, default_engine
 from repro.core.lam import optimal_lambda
 from repro.robustness.guard import GuardedBackend, check_product, residual_probe
 from repro.robustness.inject import FaultSpec, GemmFaultInjector
@@ -186,15 +187,19 @@ class TestHealthChecks:
         assert not report.ok and report.reason == "residual"
 
 
-def _faulty_bini_backend(spec: FaultSpec, steps: int = 1) -> APABackend:
+def _apa_backend(algorithm, **knobs) -> EngineBackend:
+    return default_engine().backend(algorithm=algorithm, **knobs)
+
+
+def _faulty_bini_backend(spec: FaultSpec, steps: int = 1) -> EngineBackend:
     """bini322 whose base-case gemm is routed through a fault injector."""
-    return APABackend(algorithm=get_algorithm("bini322"), steps=steps,
-                      gemm=GemmFaultInjector(spec=spec))
+    return _apa_backend(get_algorithm("bini322"), steps=steps,
+                        gemm=GemmFaultInjector(spec=spec))
 
 
 class TestGuardedBackend:
     def test_clean_call_passes_through(self, rng):
-        inner = APABackend(algorithm=get_algorithm("bini322"))
+        inner = _apa_backend(get_algorithm("bini322"))
         guard = GuardedBackend(inner)
         assert guard.name == "guarded:apa:bini322"
         A = rng.random((60, 64)).astype(np.float32)
@@ -261,7 +266,7 @@ class TestGuardedBackend:
     def test_retune_rung_recovers_bad_lambda(self, rng):
         alg = get_algorithm("bini322")
         lam_bad = optimal_lambda(alg, d=23) * 1e4
-        inner = APABackend(algorithm=alg, lam=lam_bad)
+        inner = _apa_backend(alg, lam=lam_bad)
         guard = GuardedBackend(inner)
         A = rng.random((64, 64)).astype(np.float32)
         B = rng.random((64, 64)).astype(np.float32)
@@ -292,7 +297,7 @@ class TestGuardedBackend:
         assert inner.steps == 1
 
     def test_nonfinite_inputs_do_not_strike_the_backend(self, rng):
-        inner = APABackend(algorithm=get_algorithm("bini322"))
+        inner = _apa_backend(get_algorithm("bini322"))
         guard = GuardedBackend(inner)
         A = rng.random((32, 32)).astype(np.float32)
         A[0, 0] = np.nan

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.backend import ClassicalBackend
+from repro.core.backend import MatmulBackend
+from repro.core.engine import default_engine
 from repro.robustness.inject import (
     FaultSpec,
-    FaultyBackend,
     GemmFaultInjector,
     InjectedFault,
     faulty_gemm,
@@ -126,16 +126,24 @@ class TestGemmFaultInjector:
 
 
 class TestFaultyBackend:
+    """A faulty layer backend: ``engine.backend(fault=spec)``.
+
+    With no algorithm the injector wraps the one classical gemm, so the
+    fault fires per backend call (per layer product).
+    """
+
     def test_satisfies_backend_protocol_and_fires(self, rng):
-        be = FaultyBackend(ClassicalBackend(), FaultSpec(kind="nan"))
-        assert be.name == "faulty:classical"
+        be = default_engine().backend(fault=FaultSpec(kind="nan"))
+        assert isinstance(be, MatmulBackend)
+        assert isinstance(be.gemm, GemmFaultInjector)
         C = be.matmul(rng.random((4, 4)), rng.random((4, 4)))
         assert np.isnan(C).any()
+        assert be.gemm.calls_made == be.gemm.faults_fired == 1
 
     def test_arm_disarm(self, rng):
-        be = FaultyBackend(ClassicalBackend(), FaultSpec(kind="nan"))
-        be.active = False
+        be = default_engine().backend(fault=FaultSpec(kind="nan"))
+        be.gemm.active = False
         A, B = rng.random((4, 4)), rng.random((4, 4))
-        assert np.allclose(be.matmul(A, B), A @ B)
-        be.active = True
+        assert np.array_equal(be.matmul(A, B), A @ B)
+        be.gemm.active = True
         assert np.isnan(be.matmul(A, B)).any()

@@ -10,12 +10,13 @@ from repro.algorithms.io import load_algorithm, save_algorithm
 from repro.algorithms.transforms import tensor_product
 from repro.algorithms.verify import assert_valid
 from repro.core.apa_matmul import apa_matmul
-from repro.core.backend import APABackend
+from repro.core.engine import default_engine
 from repro.data.synth_mnist import load_synth_mnist
 from repro.nn.mlp import build_accuracy_mlp
 from repro.nn.serialize import load_weights, save_weights
 from repro.nn.train import CosineLR, Trainer
-from repro.parallel.executor import threaded_apa_matmul
+
+ENGINE = default_engine()
 
 
 class TestAlgorithmLifecycle:
@@ -36,7 +37,7 @@ class TestAlgorithmLifecycle:
         lam = 2.0**-12
         from_interp = apa_matmul(A, B, loaded, lam=lam)
 
-        from_threads = threaded_apa_matmul(A, B, loaded, threads=3, lam=lam)
+        from_threads = ENGINE.matmul(A, B, loaded, threads=3, lam=lam)
         assert np.allclose(from_threads, from_interp, rtol=1e-5, atol=1e-5)
 
     def test_discovered_algorithm_runs_in_network(self, rng, tmp_path):
@@ -54,7 +55,7 @@ class TestAlgorithmLifecycle:
         )
         (x, y), _ = load_synth_mnist(n_train=600, n_test=0, seed=0)
         model = build_accuracy_mlp(
-            hidden_backend=APABackend(algorithm=recovered),
+            hidden_backend=ENGINE.backend(algorithm=recovered),
             rng=np.random.default_rng(0),
         )
         hist = model.fit(x, y, epochs=2, batch_size=100, lr=0.2,
@@ -70,7 +71,8 @@ class TestTrainingLifecycle:
 
         def fresh_model():
             return build_accuracy_mlp(
-                hidden_backend=APABackend(algorithm=get_algorithm("bini322")),
+                hidden_backend=ENGINE.backend(
+                    algorithm=get_algorithm("bini322")),
                 rng=np.random.default_rng(7),
             )
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backend import APABackend
 from repro.algorithms.catalog import get_algorithm
+from repro.core.engine import default_engine
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -80,13 +80,13 @@ class TestDense:
         assert np.allclose(grad_in, num_x, rtol=1e-4, atol=1e-6)
 
     def test_apa_backend_used_in_both_passes(self, rng):
-        be = APABackend(algorithm=get_algorithm("strassen222"))
+        be = default_engine().backend(algorithm=get_algorithm("strassen222"))
         layer = Dense(6, 4, backend=be, rng=rng)
         x = rng.random((8, 6)).astype(np.float32)
         y = layer.forward(x)
         layer.backward(np.ones_like(y))
         # forward (1) + grad_W (1) + grad_x (1)
-        assert be.stats.calls == 3
+        assert be.calls == 3
 
     def test_no_bias(self, rng):
         layer = Dense(4, 3, use_bias=False, rng=rng)

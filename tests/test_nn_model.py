@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backend import APABackend, ClassicalBackend
 from repro.algorithms.catalog import get_algorithm
+from repro.core.backend import ClassicalBackend
+from repro.core.engine import default_engine
 from repro.nn.layers import Dense, ReLU
 from repro.nn.mlp import build_accuracy_mlp, build_paradnn_mlp, hidden_dense_layers
 from repro.nn.model import Sequential
@@ -95,7 +96,7 @@ class TestMLPBuilders:
     def test_accuracy_mlp_structure(self):
         """Fig 4: 784-300-300-10 with the APA operator on the middle layer
         only."""
-        be = APABackend(algorithm=get_algorithm("bini322"))
+        be = default_engine().backend(algorithm=get_algorithm("bini322"))
         model = build_accuracy_mlp(hidden_backend=be)
         dense = [l for l in model.layers if isinstance(l, Dense)]
         assert [(d.in_features, d.out_features) for d in dense] == [
@@ -106,7 +107,7 @@ class TestMLPBuilders:
         assert isinstance(dense[2].backend, ClassicalBackend)
 
     def test_paradnn_mlp_structure(self):
-        be = APABackend(algorithm=get_algorithm("smirnov444"))
+        be = default_engine().backend(algorithm=get_algorithm("smirnov444"))
         model = build_paradnn_mlp(512, hidden_layers=4, hidden_backend=be)
         dense = [l for l in model.layers if isinstance(l, Dense)]
         assert len(dense) == 5  # input + 3 hidden-to-hidden + output
@@ -130,7 +131,7 @@ class TestVGGBuilders:
     def test_fc_head_structure(self):
         """§5: 25088-4096-4096-1000 with the backend on all three FC
         layers."""
-        be = APABackend(algorithm=get_algorithm("smirnov442"))
+        be = default_engine().backend(algorithm=get_algorithm("smirnov442"))
         model = build_vgg19_fc(backend=be)
         dense = [l for l in model.layers if isinstance(l, Dense)]
         assert [(d.in_features, d.out_features) for d in dense] == [

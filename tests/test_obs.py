@@ -395,11 +395,13 @@ class TestMetricsView:
         assert {"threads", "creates", "resizes"} == set(unified["pool"])
 
     def test_guard_counters_reach_registry(self, rng):
-        from repro.core.backend import make_backend
+        from repro.core.engine import ExecutionEngine
 
         reg = reset_registry()
         try:
-            backend = make_backend("bini322", guarded=True)
+            # A private engine: a fresh guard, so this is its first call.
+            backend = ExecutionEngine().backend(algorithm="bini322",
+                                                guarded=True)
             A = rng.random((24, 24)).astype(np.float32)
             B = rng.random((24, 24)).astype(np.float32)
             backend.matmul(A, B)

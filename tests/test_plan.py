@@ -5,20 +5,20 @@ import pytest
 
 from repro.algorithms.catalog import get_algorithm
 from repro.core.apa_matmul import apa_matmul
-from repro.core.backend import APABackend
-from repro.core.batched import apa_matmul_batched
+from repro.core.engine import default_engine
 from repro.core.plan import (
     PlanCache,
     configure_plan_cache,
     default_plan_cache,
     resolve_plan_cache,
 )
-from repro.parallel.executor import threaded_apa_matmul
+from repro.parallel.executor import ExecutionReport
 from repro.parallel.pool import get_pool, pool_stats, shutdown_pool
-from repro.parallel.procpool import process_apa_matmul
 from repro.robustness.events import EventLog
 from repro.robustness.guard import GuardedBackend
 from tests._reference_bilinear import reference_matmul
+
+ENGINE = default_engine()
 
 
 def _operands(shape, dtype=np.float64, seed=7):
@@ -54,15 +54,20 @@ def test_every_path_matches_the_reference_bitwise(name, dtype, steps, shape):
         "cached": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
         "cached again": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
         "uncached": apa_matmul(A, B, alg, steps=steps, plan_cache=False),
-        "process": process_apa_matmul(A, B, alg, workers=2, steps=steps),
+        "process": ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                                 steps=steps),
+        # a report selects the scheduled runner even on one thread
+        "threads=1 scheduled": ENGINE.matmul(
+            A, B, alg, threads=1, steps=steps, plan_cache=cache,
+            report=ExecutionReport()),
     }
     for threads in (1, 2, 3):
-        paths[f"threads={threads}"] = threaded_apa_matmul(
+        paths[f"threads={threads}"] = ENGINE.matmul(
             A, B, alg, threads=threads, steps=steps, plan_cache=cache)
     if steps == 1:
         # Stacked batched mode is single-step; each item is the 2-D product.
-        stacked = apa_matmul_batched(np.stack([A, 2 * A]), np.stack([B, B]),
-                                     alg, plan_cache=cache)
+        stacked = ENGINE.matmul(np.stack([A, 2 * A]), np.stack([B, B]),
+                                alg, plan_cache=cache)
         paths["batched item 0"] = stacked[0]
         assert np.array_equal(stacked[1],
                               reference_matmul(2 * A, B, alg, steps=1))
@@ -121,7 +126,8 @@ def test_guarded_backend_plan_reuse_bit_identical():
 
     reference = reference_matmul(A, B, alg)
     cache = PlanCache()
-    guarded = GuardedBackend(APABackend(algorithm=alg, plan_cache=cache))
+    guarded = GuardedBackend(
+        ENGINE.backend(algorithm=alg, plan_cache=cache))
     out1 = guarded.matmul(A, B)
     out2 = guarded.matmul(A, B)
     assert np.array_equal(out1, reference)
@@ -135,8 +141,8 @@ def test_threaded_plan_matches_sequential_bitwise():
     A, B = _operands((17, 14, 10), dtype=np.float32, seed=11)
     sequential = reference_matmul(A, B, alg)
     cache = PlanCache()
-    t1 = threaded_apa_matmul(A, B, alg, threads=3, plan_cache=cache)
-    t2 = threaded_apa_matmul(A, B, alg, threads=3, plan_cache=cache)
+    t1 = ENGINE.matmul(A, B, alg, threads=3, plan_cache=cache)
+    t2 = ENGINE.matmul(A, B, alg, threads=3, plan_cache=cache)
     assert np.array_equal(t1, sequential)
     assert np.array_equal(t2, sequential)
     stats = cache.stats()
@@ -158,9 +164,9 @@ def test_batched_stacked_ragged_shapes(shape):
     A = rng.standard_normal((batch, M, N))
     B = rng.standard_normal((batch, N, K))
 
-    stacked = apa_matmul_batched(A, B, alg, mode="stacked")
+    stacked = ENGINE.matmul(A, B, alg, batch_mode="stacked")
     assert stacked.shape == (batch, M, K)
-    looped = apa_matmul_batched(A, B, alg, mode="loop")
+    looped = ENGINE.matmul(A, B, alg, batch_mode="loop")
     np.testing.assert_allclose(stacked, looped, rtol=1e-9, atol=1e-9)
 
     exact = np.matmul(A, B)
@@ -173,10 +179,10 @@ def test_batched_stacked_plan_reuse_bit_identical():
     A = rng.standard_normal((3, 9, 7)).astype(np.float32)
     B = rng.standard_normal((3, 7, 5)).astype(np.float32)
 
-    cold = apa_matmul_batched(A, B, alg, plan_cache=False)
+    cold = ENGINE.matmul(A, B, alg, plan_cache=False)
     cache = PlanCache()
-    warm1 = apa_matmul_batched(A, B, alg, plan_cache=cache)
-    warm2 = apa_matmul_batched(A, B, alg, plan_cache=cache)
+    warm1 = ENGINE.matmul(A, B, alg, plan_cache=cache)
+    warm2 = ENGINE.matmul(A, B, alg, plan_cache=cache)
     for i in range(A.shape[0]):
         assert np.array_equal(cold[i], reference_matmul(A[i], B[i], alg))
     assert np.array_equal(cold, warm1)

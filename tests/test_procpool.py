@@ -17,15 +17,13 @@ import pytest
 from repro.algorithms.catalog import get_algorithm
 from repro.core.apa_matmul import apa_matmul
 from repro.core.config import execution_context
-from repro.core.engine import default_engine
+from repro.core.engine import ExecutionEngine, default_engine
 from repro.parallel.executor import ExecutionReport
-from repro.parallel.procpool import (
-    process_apa_matmul,
-    process_pool_stats,
-    shutdown_process_pool,
-)
+from repro.parallel.procpool import process_pool_stats, shutdown_process_pool
 from repro.parallel.shm import shm_stats
 from tests._reference_bilinear import reference_matmul
+
+ENGINE = default_engine()
 
 
 class TestBitIdentity:
@@ -36,10 +34,10 @@ class TestBitIdentity:
         A = rng.random((13, 11))
         B = rng.random((11, 9))
         expected = reference_matmul(A, B, real_algorithm)
-        C = process_apa_matmul(A, B, real_algorithm, workers=2)
+        C = ENGINE.matmul(A, B, real_algorithm, executor="process", threads=2)
         assert np.array_equal(C, expected)
-        C = process_apa_matmul(A, B, real_algorithm, workers=2,
-                               plan_cache=False)
+        C = ENGINE.matmul(A, B, real_algorithm, executor="process", threads=2,
+                          plan_cache=False)
         assert np.array_equal(C, expected)
 
     @pytest.mark.parametrize("strategy", ["hybrid", "bfs", "dfs"])
@@ -47,14 +45,15 @@ class TestBitIdentity:
         alg = get_algorithm("strassen222")
         A = rng.random((32, 32)).astype(np.float32)
         B = rng.random((32, 32)).astype(np.float32)
-        C = process_apa_matmul(A, B, alg, workers=2, strategy=strategy)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                          strategy=strategy)
         assert np.array_equal(C, apa_matmul(A, B, alg))
 
     def test_multi_step_recursion(self, rng):
         alg = get_algorithm("bini322")
         A = rng.random((36, 36)).astype(np.float32)
         B = rng.random((36, 36)).astype(np.float32)
-        C = process_apa_matmul(A, B, alg, workers=2, steps=2)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2, steps=2)
         assert np.array_equal(C, apa_matmul(A, B, alg, steps=2))
 
     def test_execution_context_routes_to_process(self, rng):
@@ -67,14 +66,13 @@ class TestBitIdentity:
     def test_guarded_escalation_matches_thread_executor(self, rng):
         """A poisonous lambda trips the guard identically under both
         executors: the escalated (classical) result is bit-equal."""
-        from repro.core.backend import make_backend
-
         A = rng.random((24, 24)).astype(np.float32)
         B = rng.random((24, 24)).astype(np.float32)
-        proc = make_backend("bini322", guarded=True)
+        # Private engines: each guard starts with fresh breaker state.
+        proc = ExecutionEngine().backend(algorithm="bini322", guarded=True)
         with execution_context(executor="process", threads=2, lam=1e300):
             Cp = proc.matmul(A, B)
-        thread = make_backend("bini322", guarded=True)
+        thread = ExecutionEngine().backend(algorithm="bini322", guarded=True)
         with execution_context(threads=2, lam=1e300):
             Ct = thread.matmul(A, B)
         assert proc.violations == 1 and thread.violations == 1
@@ -96,7 +94,7 @@ class TestBitIdentity:
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        process_apa_matmul(A, B, alg, workers=2, report=report)
+        ENGINE.matmul(A, B, alg, executor="process", threads=2, report=report)
         assert len(report.jobs) == alg.rank
         assert all(j.status == "ok" for j in report.jobs)
 
@@ -104,17 +102,18 @@ class TestBitIdentity:
 class TestPlumbing:
     def test_surrogate_rejected(self, rng):
         with pytest.raises(ValueError, match="surrogate"):
-            process_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                               get_algorithm("smirnov444"), workers=2)
+            ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                          get_algorithm("smirnov444"), executor="process",
+                          threads=2)
 
     def test_bad_shapes_and_workers(self, rng):
         alg = get_algorithm("strassen222")
         with pytest.raises(ValueError):
-            process_apa_matmul(rng.random((8, 7)), rng.random((8, 8)),
-                               alg, workers=2)
+            ENGINE.matmul(rng.random((8, 7)), rng.random((8, 8)),
+                          alg, executor="process", threads=2)
         with pytest.raises(ValueError):
-            process_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                               alg, workers=0)
+            ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                          alg, executor="process", threads=0)
 
     def test_gemm_seam_rejected(self, rng):
         """A custom gemm closure cannot cross the process boundary."""
@@ -133,8 +132,8 @@ class TestPlumbing:
 
     def test_pool_stats_and_plan_stats_exposed(self, rng):
         alg = get_algorithm("strassen222")
-        process_apa_matmul(rng.random((8, 8)), rng.random((8, 8)), alg,
-                           workers=2)
+        ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)), alg,
+                      executor="process", threads=2)
         stats = process_pool_stats()
         assert stats["workers"] == 2 and stats["creates"] >= 1
         seg = shm_stats()
@@ -153,8 +152,8 @@ class TestFailureRecovery:
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = process_apa_matmul(A, B, alg, workers=2, retries=1,
-                               report=report)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                          retries=1, report=report)
         assert np.array_equal(C, apa_matmul(A, B, alg))
         assert {j.status for j in report.jobs} == {"retried"}
         assert report.backoff_delays  # workers reported their sleeps
@@ -164,8 +163,8 @@ class TestFailureRecovery:
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = process_apa_matmul(A, B, alg, workers=2, retries=1,
-                               report=report)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                          retries=1, report=report)
         # Worker-side classical fallback is still numerically exact for
         # an exact algorithm (lam plays no role in S/T for strassen).
         assert np.array_equal(C, apa_matmul(A, B, alg))
@@ -177,8 +176,8 @@ class TestFailureRecovery:
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = process_apa_matmul(A, B, alg, workers=2, check_finite=True,
-                               report=report)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                          check_finite=True, report=report)
         assert np.isfinite(C).all()
         assert np.array_equal(C, apa_matmul(A, B, alg))
         assert {j.status for j in report.jobs} == {"fallback"}
@@ -191,8 +190,8 @@ class TestFailureRecovery:
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        C = process_apa_matmul(A, B, alg, workers=2, retries=1,
-                               report=report)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2,
+                          retries=1, report=report)
         assert np.array_equal(C, apa_matmul(A, B, alg))
         kinds = {e.kind for e in report.events}
         assert "worker-crash" in kinds
@@ -210,11 +209,11 @@ class TestCleanup:
         code = (
             "import numpy as np\n"
             "from repro.algorithms.catalog import get_algorithm\n"
-            "from repro.parallel.procpool import process_apa_matmul\n"
+            "from repro.core.engine import default_engine\n"
             "rng = np.random.default_rng(0)\n"
             "A, B = rng.random((24, 24)), rng.random((24, 24))\n"
-            "C = process_apa_matmul(A, B, get_algorithm('strassen222'),\n"
-            "                       workers=2)\n"
+            "C = default_engine().matmul(A, B, get_algorithm('strassen222'),\n"
+            "                            executor='process', threads=2)\n"
             "assert C.shape == (24, 24)\n"
         )
         proc = subprocess.run(
@@ -229,5 +228,5 @@ class TestCleanup:
         shutdown_process_pool()
         alg = get_algorithm("strassen222")
         A, B = rng.random((8, 8)), rng.random((8, 8))
-        C = process_apa_matmul(A, B, alg, workers=2)
+        C = ENGINE.matmul(A, B, alg, executor="process", threads=2)
         assert np.array_equal(C, apa_matmul(A, B, alg))

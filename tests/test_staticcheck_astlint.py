@@ -5,6 +5,7 @@ from pathlib import Path
 import repro.parallel as parallel_pkg
 import repro.robustness as robustness_pkg
 from repro.staticcheck.astlint import (
+    WRAPPER_CLASS_NAMES,
     lint_engine_boundary,
     lint_engine_paths,
     lint_paths,
@@ -334,14 +335,18 @@ def build(inner):
 
 def test_wrapper_attribute_construction_flagged():
     source = """
-import repro.robustness.inject as inject
+import repro.robustness.guard as guard
 
-def build(inner, spec):
-    return inject.FaultyBackend(inner, spec)
+def build(inner):
+    return guard.GuardedBackend(inner)
 """
     findings = lint_wrapper_construction(source, "src/repro/bench/thing.py")
     assert [f.rule_id for f in findings] == ["ENG002"]
-    assert "FaultyBackend" in findings[0].message
+    assert "GuardedBackend" in findings[0].message
+
+
+def test_only_guarded_backend_is_a_wrapper_class():
+    assert WRAPPER_CLASS_NAMES == frozenset({"GuardedBackend"})
 
 
 def test_wrapper_construction_inside_backends_exempt():

@@ -334,11 +334,12 @@ class TestDivergenceGuard:
 
     def test_downgrade_walks_steps_then_classical(self, rng):
         from repro.algorithms.catalog import get_algorithm
-        from repro.core.backend import APABackend, ClassicalBackend
+        from repro.core.backend import ClassicalBackend
+        from repro.core.engine import default_engine
         from repro.robustness.divergence import downgrade_backends
 
         model = small_model(rng)
-        model.layers[0].backend = APABackend(
+        model.layers[0].backend = default_engine().backend(
             algorithm=get_algorithm("bini322"), steps=2)
         assert downgrade_backends(model) == 1
         assert model.layers[0].backend.steps == 1  # rung 1: depth
@@ -347,33 +348,35 @@ class TestDivergenceGuard:
         assert downgrade_backends(model) == 0  # nothing left to downgrade
 
     def test_downgrade_unwraps_faulty_backend(self, rng):
-        from repro.core.backend import ClassicalBackend, make_backend
+        from repro.core.backend import ClassicalBackend
+        from repro.core.engine import default_engine
         from repro.robustness.divergence import downgrade_backends
-        from repro.robustness.inject import FaultSpec, FaultyBackend
+        from repro.robustness.inject import FaultSpec
 
         model = small_model(rng)
-        model.layers[0].backend = FaultyBackend(
-            make_backend(None), FaultSpec(kind="nan"))
+        model.layers[0].backend = default_engine().backend(
+            fault=FaultSpec(kind="nan"))
         assert downgrade_backends(model) == 1
         assert isinstance(model.layers[0].backend, ClassicalBackend)
 
     def test_fit_with_guard_recovers_midtraining_nan(self, rng):
         """End-to-end: a NaN-poisoning backend armed mid-training is
         detected, rolled back, and replaced; training finishes healthy."""
-        from repro.core.backend import ClassicalBackend, make_backend
+        from repro.core.backend import ClassicalBackend
+        from repro.core.engine import default_engine
         from repro.robustness.divergence import DivergenceGuard
-        from repro.robustness.inject import FaultSpec, FaultyBackend
+        from repro.robustness.inject import FaultSpec
 
         x, y = blobs(rng=rng)
         model = small_model(rng)
-        backend = FaultyBackend(make_backend(None),
-                                FaultSpec(kind="nan", probability=1.0))
-        backend.active = False
+        backend = default_engine().backend(
+            fault=FaultSpec(kind="nan", probability=1.0))
+        backend.gemm.active = False
         model.layers[0].backend = backend
 
         def arm(epoch, history):
             if epoch == 1:
-                backend.active = True
+                backend.gemm.active = True
 
         guard = DivergenceGuard(max_rollbacks=2)
         trainer = Trainer(model, schedule=ConstantLR(0.2),

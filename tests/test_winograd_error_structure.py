@@ -8,6 +8,7 @@ import pytest
 
 from repro.algorithms.catalog import get_algorithm
 from repro.bench.profiling import profile_call
+from repro.core.engine import default_engine
 from repro.experiments.error_structure import (
     predicted_error,
     run_error_structure_check,
@@ -17,7 +18,8 @@ from repro.nn.winograd import (
     direct_conv2d_valid,
     winograd_conv2d_3x3,
 )
-from repro.parallel.executor import threaded_apa_matmul
+
+ENGINE = default_engine()
 
 
 class TestWinogradConv:
@@ -129,8 +131,8 @@ class TestMultiStepThreaded:
     def test_two_steps_exact(self, rng):
         A = rng.random((40, 36))
         B = rng.random((36, 28))
-        C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
-                                threads=3, steps=2)
+        C = ENGINE.matmul(A, B, get_algorithm("strassen222"),
+                          threads=3, steps=2)
         assert np.allclose(C, A @ B, rtol=1e-9, atol=1e-11)
 
     def test_two_steps_matches_sequential_plan(self, rng):
@@ -140,7 +142,7 @@ class TestMultiStepThreaded:
         B = rng.random((32, 32))
         alg = get_algorithm("strassen222")
         assert np.array_equal(
-            threaded_apa_matmul(A, B, alg, threads=2, steps=2),
+            ENGINE.matmul(A, B, alg, threads=2, steps=2),
             apa_matmul(A, B, alg, steps=2),
         )
 
@@ -149,12 +151,12 @@ class TestMultiStepThreaded:
         A = rng.random((54, 54)).astype(np.float32)
         B = rng.random((54, 54)).astype(np.float32)
         ref = A.astype(np.float64) @ B.astype(np.float64)
-        C = threaded_apa_matmul(A, B, alg, threads=2, steps=2)
+        C = ENGINE.matmul(A, B, alg, threads=2, steps=2)
         rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
         assert rel < 8 * alg.error_bound(d=23, steps=2)
 
     def test_steps_validation(self, rng):
         with pytest.raises(ValueError):
-            threaded_apa_matmul(rng.random((8, 8)), rng.random((8, 8)),
-                                get_algorithm("strassen222"), threads=2,
-                                steps=0)
+            ENGINE.matmul(rng.random((8, 8)), rng.random((8, 8)),
+                          get_algorithm("strassen222"), threads=2,
+                          steps=0)
