@@ -6,7 +6,7 @@
   :class:`~repro.algorithms.spec.BilinearAlgorithm` objects (write-once
   linear combinations + gemm sub-products, paper §3.2);
 - :mod:`repro.core.surrogate` — execution of metadata surrogates
-  (classical product + structured error at the modelled magnitude);
+  (classical product + a bilinear error at the modelled magnitude);
 - :mod:`repro.core.backend` — the pluggable matmul-backend protocol used
   to inject APA products into neural-network layers, and the classical
   baseline (APA backends come from ``default_engine().backend(...)``);

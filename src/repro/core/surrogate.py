@@ -14,10 +14,21 @@ experiments need from it numerically is a product with *APA-like error*:
 - **deterministic** given the same operands (a rerun of an APA product
   gives bitwise-identical error).
 
-We synthesize exactly that: a sign-modulated product
-``E = (sr * A) @ (B * sc)`` with fixed per-algorithm ±1 row/column sign
-patterns (a bilinear function of ``A`` and ``B`` that is uncorrelated with
-``C`` but matched in scale), rescaled to the target relative magnitude.
+We synthesize exactly that: ``E = (A * s) @ B`` with a fixed
+per-algorithm ±1 sign pattern ``s`` on the inner (contraction) index,
+rescaled to the target relative magnitude.  Each entry
+``E_ij = sum_k s_k A_ik B_kj`` is a signed sum of the same partial products
+that make up ``C_ij`` — a different bilinear form, not a re-weighting of
+``C``: its sign does not follow ``C_ij``'s, it is nonzero where ``C`` is
+zero, and for zero-mean operands is nearly uncorrelated with ``C``
+(normalised inner product ``~ sum(s) / K``).  A sign pattern on the outer
+(row/column) indices would factor out of the product and leave
+``E = ±C`` entrywise, a step-size jitter rather than an error.
+
+The error magnitude is one function, :func:`surrogate_relative_error`:
+the Table-1 valley in ``lambda`` clamped at order unity.  The bad-lambda
+study reads it from there, so the error it reports is the error the
+product carries.
 
 ``emulate_flops=True`` additionally performs the algorithm's true gemm
 profile (``r`` products of ``(M/m) x (N/n)`` by ``(N/n) x (K/k)`` blocks)
@@ -36,7 +47,7 @@ import numpy as np
 from repro.algorithms.spec import AlgorithmLike
 from repro.linalg.blocking import BlockPartition, split_blocks
 
-__all__ = ["surrogate_matmul", "structured_error"]
+__all__ = ["surrogate_matmul", "structured_error", "surrogate_relative_error"]
 
 
 def _sign_vector(seed_text: str, length: int) -> np.ndarray:
@@ -50,14 +61,42 @@ def _sign_vector(seed_text: str, length: int) -> np.ndarray:
 def structured_error(A: np.ndarray, B: np.ndarray, tag: str) -> np.ndarray:
     """A bilinear, deterministic error matrix shaped like ``A @ B``.
 
-    ``E = (sr[:, None] * A) @ (B * sc[None, :])`` with ±1 sign patterns
-    seeded by ``tag``.  Bilinear in (A, B) like a true APA error tensor,
-    and of comparable Frobenius norm to the product itself for generic
-    inputs (callers rescale to the exact target magnitude).
+    ``E = (A * s[None, :]) @ B`` with a ±1 sign pattern ``s`` over the
+    inner index, seeded by ``tag``.  Bilinear in (A, B) like a true APA
+    error tensor, and of comparable Frobenius norm to the product itself
+    for zero-mean inputs (callers rescale to the exact target magnitude).
+    The signs sit on the contraction index so that they do not factor out:
+    ``E`` mixes the partial products ``A_ik B_kj`` with other signs than
+    ``C`` does, so ``E_ij`` is not ``±C_ij``.
     """
-    sr = _sign_vector(tag + ":rows", A.shape[0])
-    sc = _sign_vector(tag + ":cols", B.shape[1])
-    return (sr[:, None] * A) @ (B * sc[None, :])
+    s = _sign_vector(tag + ":inner", A.shape[1])
+    return (A * s[None, :]) @ B
+
+
+def surrogate_relative_error(algorithm: AlgorithmLike, lam: float | None,
+                             d: int, steps: int = 1) -> float:
+    """Relative error :func:`surrogate_matmul` injects at ``lam``.
+
+    At the valley centre (and for ``lam=None``) this is the algorithm's
+    ``empirical_error_scale``; a lambda ``t`` times larger multiplies it by
+    ``t**sigma`` (approximation branch), a lambda ``t`` times smaller by
+    ``t**(s*phi)`` (roundoff branch), and the result is clamped at 1.0.
+
+    The centre is the unrounded theory optimum ``2**(-d/(sigma+s*phi))``,
+    not the power of two :func:`~repro.core.lam.optimal_lambda` returns;
+    the paper does not say which of the two the measured valley sits on,
+    so the tuned power of two lands slightly off the bottom here.
+    """
+    sigma, phi = algorithm.sigma, algorithm.phi
+    lam_opt = 2.0 ** (-d / (sigma + steps * phi))
+    rel = algorithm.empirical_error_scale(d=d, steps=steps)
+    if lam is not None and lam > 0 and lam != lam_opt:
+        ratio = lam / lam_opt
+        # Error valley: approximation term scales like lam**sigma, roundoff
+        # like lam**-(s*phi); total modelled as the max of the two branches.
+        rel = rel * max(ratio**sigma, ratio ** (-steps * phi))
+        rel = min(rel, 1.0)
+    return rel
 
 
 def surrogate_matmul(
@@ -72,12 +111,10 @@ def surrogate_matmul(
 ) -> np.ndarray:
     """Multiply ``A @ B`` emulating a surrogate APA algorithm.
 
-    ``lam`` scales the injected error relative to the tuned optimum: at the
-    optimal lambda the relative error equals the algorithm's
-    ``empirical_error_scale``; a lambda ``t`` times larger multiplies the
-    approximation term by ``t**sigma`` (approximation-dominated regime),
-    a smaller lambda grows the roundoff term by ``(1/t)**(s*phi)`` — the
-    same valley shape a true APA algorithm exhibits.
+    ``lam`` sets the injected relative error through
+    :func:`surrogate_relative_error` — the same valley shape a true APA
+    algorithm exhibits: approximation error growing like ``lam**sigma``
+    above the optimum, roundoff like ``lam**-(s*phi)`` below it.
     """
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("surrogate_matmul expects 2-D operands")
@@ -99,15 +136,7 @@ def surrogate_matmul(
     if not inject_error:
         return C
 
-    sigma, phi = algorithm.sigma, algorithm.phi
-    lam_opt = 2.0 ** (-d / (sigma + steps * phi))
-    rel = algorithm.empirical_error_scale(d=d, steps=steps)
-    if lam is not None and lam > 0 and lam != lam_opt:
-        ratio = lam / lam_opt
-        # Error valley: approximation term scales like lam**sigma, roundoff
-        # like lam**-(s*phi); total modelled as the max of the two branches.
-        rel = rel * max(ratio**sigma, ratio ** (-steps * phi))
-        rel = min(rel, 1.0)
+    rel = surrogate_relative_error(algorithm, lam, d, steps)
 
     E = structured_error(A, B, algorithm.name)
     e_norm = np.linalg.norm(E)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.analysis import analyze_algorithm, catalog_report
+from repro.algorithms.catalog import get_algorithm
+from repro.core.lam import optimal_lambda
+from repro.core.surrogate import surrogate_relative_error
 from repro.experiments.fig4_structure import format_fig4, run_fig4
 from repro.experiments.robustness import (
     format_error_tolerance_study,
@@ -129,3 +132,16 @@ class TestFailureInjection:
         assert points[0].relative_error < points[1].relative_error
         # heavily mistuned lambda must not *help*
         assert points[1].test_accuracy <= points[0].test_accuracy + 0.05
+
+    def test_bad_lambda_reports_the_injected_error(self):
+        """The study's relative_error is the surrogate's valley at the lambda
+        it trains with (tuned power of two times the scale, clamped), not
+        the unclamped ``scale**sigma`` extrapolation."""
+        scales = (1.0, 64.0)
+        points = run_bad_lambda_study(lambda_scales=scales, epochs=1,
+                                      n_train=200, n_test=100)
+        alg = get_algorithm("smirnov444")
+        lam_opt = optimal_lambda(alg, d=23)
+        for point, scale in zip(points, scales):
+            assert point.relative_error == surrogate_relative_error(
+                alg, lam_opt * scale, d=23)

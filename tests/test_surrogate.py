@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.catalog import get_algorithm
-from repro.core.surrogate import structured_error, surrogate_matmul
+from repro.core.engine import default_engine
+from repro.core.lam import optimal_lambda
+from repro.core.surrogate import (
+    structured_error,
+    surrogate_matmul,
+    surrogate_relative_error,
+)
 
 
 class TestStructuredError:
@@ -34,6 +40,21 @@ class TestStructuredError:
     def test_shape(self, rng):
         E = structured_error(rng.random((7, 5)), rng.random((5, 3)), "t")
         assert E.shape == (7, 3)
+
+    def test_not_a_reweighting_of_the_product(self, rng):
+        """E is a different bilinear form from C = A @ B, not ±C entrywise:
+        sign patterns on the outer indices factor out of the product and
+        would leave |E| == |C|, a sign-preserving step-size jitter rather
+        than an APA error.  For zero-mean operands E is also nearly
+        uncorrelated with C (expected cosine ~ 1/sqrt(K))."""
+        K = 128
+        A = rng.standard_normal((50, K))
+        B = rng.standard_normal((K, 30))
+        C = A @ B
+        E = structured_error(A, B, "t")
+        assert not np.allclose(np.abs(E), np.abs(C))
+        cosine = np.sum(E * C) / (np.linalg.norm(E) * np.linalg.norm(C))
+        assert abs(cosine) < 3 / np.sqrt(K)
 
 
 class TestSurrogateMatmul:
@@ -92,6 +113,21 @@ class TestSurrogateMatmul:
         at_opt = rel(lam_opt)
         assert rel(lam_opt * 8) > at_opt      # approximation branch
         assert rel(lam_opt / 8) > at_opt      # roundoff branch
+
+    @pytest.mark.parametrize("scale", [1.0, 64.0])
+    def test_reported_error_is_the_injected_error(self, rng, scale):
+        """surrogate_relative_error — what the bad-lambda study reports —
+        is the error a float32 layer product through the engine carries,
+        at the tuned (power-of-two) lambda and far up the valley."""
+        alg = get_algorithm("smirnov444")
+        lam = optimal_lambda(alg, d=23) * scale
+        A = rng.standard_normal((100, 300)).astype(np.float32)
+        B = rng.standard_normal((300, 300)).astype(np.float32)
+        C = default_engine().backend(algorithm=alg, lam=lam).matmul(A, B)
+        ref = A.astype(np.float64) @ B.astype(np.float64)
+        rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
+        assert rel == pytest.approx(surrogate_relative_error(alg, lam, d=23),
+                                    rel=0.05)
 
     def test_deterministic_across_calls(self, rng):
         alg = get_algorithm("smirnov442")
