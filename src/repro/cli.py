@@ -148,13 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--seed-defect",
-                   choices=["bini322-m10-ocr", "asy-blocking-coroutine",
+                   choices=["bini322-m10-ocr", "gen-dropped-product",
+                            "asy-blocking-coroutine",
                             "lck-two-lock-cycle", "own-escaping-arena",
                             "shm-escaping-view", "num-silent-narrowing"],
                    default=None,
                    help="self-test: lint a known-bad input (corrupted "
-                        "catalog entry or synthetic defective package); "
-                        "must exit non-zero")
+                        "catalog entry or compiled program, or synthetic "
+                        "defective package); must exit non-zero")
     p.add_argument("--baseline", default=None,
                    help="committed baseline file; fingerprinted findings "
                         "are reported but no longer gate")

@@ -58,8 +58,7 @@ def _batched_matmul_impl(
         raise ValueError(f"inner dims mismatch: {A.shape} @ {B.shape}")
 
     from repro.core.apa_matmul import apa_matmul
-    from repro.core.plan import (accumulate, acquire_plan, block_views,
-                                 combine, plannable)
+    from repro.core.plan import acquire_plan, plannable
 
     batch, M, N = A.shape
     K = B.shape[2]
@@ -82,21 +81,6 @@ def _batched_matmul_impl(
             d = precision_bits(dtype) if dtype.kind == "f" else 52
         lam = optimal_lambda(algorithm, d=d)
 
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
     plan = acquire_plan(plan_cache, algorithm, M, N, K, dtype, lam,
                         mode="batched")
-    part = plan.partition
-    Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
-                  part.padded_cols_b)
-    Ap = np.zeros((batch, Mp, Np), dtype=dtype)
-    Ap[:, :M, :N] = A
-    Bp = np.zeros((batch, Np, Kp), dtype=dtype)
-    Bp[:, :N, :K] = B
-    a_blocks = block_views(Ap, m, n)
-    b_blocks = block_views(Bp, n, k)
-    C = np.empty((batch, Mp, Kp), dtype=dtype)
-    # One batched gemm over the leading axis per multiplication.
-    accumulate(plan.w_terms, (
-        np.matmul(combine(s, a_blocks), combine(t, b_blocks))
-        for s, t in zip(plan.s_terms, plan.t_terms)), block_views(C, m, k))
-    return np.ascontiguousarray(C[:, :M, :K])
+    return plan.run_batched(A, B)

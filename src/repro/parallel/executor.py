@@ -180,8 +180,8 @@ def _threaded_matmul_impl(
     a_blocks, b_blocks = plan.stage(workspace, A, B)
 
     def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-        return (combine(plan.s_terms[i], a_blocks),
-                combine(plan.t_terms[i], b_blocks))
+        return (combine(plan.program.s[i], a_blocks),
+                combine(plan.program.t[i], b_blocks))
 
     def record(outcome: JobOutcome) -> None:
         if report is not None:
@@ -292,7 +292,7 @@ def _threaded_matmul_impl(
                     record(JobOutcome(mult, status, attempts, t_start,
                                       t_end, error=err))
 
-        accumulate(plan.w_terms, [products[i] for i in range(r)],
+        accumulate(plan.program, [products[i] for i in range(r)],
                    workspace.c_blocks[0], workspace.scratch)
         # Always copy out: the arena C belongs to the plan.
         return np.array(workspace.C[0][: A.shape[0], : B.shape[1]])

@@ -62,8 +62,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.engine import _run_sequential
-from repro.core.plan import (accumulate, acquire_plan, block_views, combine,
-                             plannable)
+from repro.core.plan import (Combination, accumulate, acquire_plan,
+                             block_views, combine, plannable)
 from repro.obs import tracer as _obs_tracer
 from repro.obs.registry import default_registry
 from repro.parallel.backoff import BackoffPolicy
@@ -254,9 +254,9 @@ class _TaskSpec:
     m: int
     n: int
     k: int
-    #: The plan's ``s_terms[mult]``/``t_terms[mult]``.
-    s_terms: tuple
-    t_terms: tuple
+    #: The program's compiled ``s[mult]``/``t[mult]`` combinations.
+    s_sum: Combination
+    t_sum: Combination
     #: ``('catalog', name)`` / ``('object', algorithm)``; ``None`` when
     #: ``steps == 1`` (the worker then needs no coefficients at all).
     algorithm: Any
@@ -303,8 +303,8 @@ def _run_task(spec: _TaskSpec) -> tuple:
     Ap = np.ndarray(spec.a_shape, dtype=dtype, buffer=a_seg.buf)
     Bp = np.ndarray(spec.b_shape, dtype=dtype, buffer=b_seg.buf)
     OUT = np.ndarray(spec.out_shape, dtype=dtype, buffer=out_seg.buf)
-    S = combine(spec.s_terms, block_views(Ap, spec.m, spec.n))
-    T = combine(spec.t_terms, block_views(Bp, spec.n, spec.k))
+    S = combine(spec.s_sum, block_views(Ap, spec.m, spec.n))
+    T = combine(spec.t_sum, block_views(Bp, spec.n, spec.k))
 
     if spec.steps > 1:
         algorithm = _task_algorithm(spec)
@@ -472,8 +472,8 @@ def _process_matmul_impl(
         b_blocks = block_views(Bp, n, k)
 
         def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-            return (combine(plan.s_terms[i], a_blocks),
-                    combine(plan.t_terms[i], b_blocks))
+            return (combine(plan.program.s[i], a_blocks),
+                    combine(plan.program.t[i], b_blocks))
 
         def record(outcome: JobOutcome) -> None:
             if report is not None:
@@ -495,7 +495,7 @@ def _process_matmul_impl(
                 out_name=out_seg.name, a_shape=(Mp, Np),
                 b_shape=(Np, Kp), out_shape=(r, bm, bk), dtype=dtype.str,
                 m=m, n=n, k=k,
-                s_terms=plan.s_terms[i], t_terms=plan.t_terms[i],
+                s_sum=plan.program.s[i], t_sum=plan.program.t[i],
                 algorithm=alg_ref, lam=float(lam), steps=steps,
                 retries=retries, check_finite=check_finite,
                 backoff=(policy.base, policy.cap, policy.multiplier,
@@ -622,7 +622,7 @@ def _process_matmul_impl(
                                   error=err))
 
         C = np.empty((Mp, Kp), dtype=dtype)
-        accumulate(plan.w_terms, [products[i] for i in range(r)],
+        accumulate(plan.program, [products[i] for i in range(r)],
                    block_views(C, m, k))
         return np.ascontiguousarray(part.crop(C))
     finally:

@@ -34,6 +34,14 @@ def _replacement_for(backend):
     return fallback if fallback is not None else ClassicalBackend()
 
 
+def _is_classical(backend) -> bool:
+    """Plain classical gemm: a :class:`ClassicalBackend`, or an
+    ``engine.backend()`` without algorithm whose gemm seam is free (a
+    fault injector there is a rung to walk down from)."""
+    return (getattr(backend, "name", None) == "classical"
+            and getattr(backend, "gemm", None) is None)
+
+
 def downgrade_backends(model, log: EventLog | None = None) -> int:
     """Walk one escalation rung down on every non-classical layer backend.
 
@@ -45,7 +53,7 @@ def downgrade_backends(model, log: EventLog | None = None) -> int:
     changed = 0
     for i, layer in enumerate(model.layers):
         backend = getattr(layer, "backend", None)
-        if backend is None or isinstance(backend, ClassicalBackend):
+        if backend is None or _is_classical(backend):
             continue
         target = getattr(backend, "inner", backend)
         if getattr(target, "steps", 1) > 1:

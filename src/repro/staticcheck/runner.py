@@ -23,11 +23,13 @@ FAMILIES: tuple[str, ...] = ("algorithms", "plans", "concurrency",
 
 #: Known seeded defects for gate self-tests (``--seed-defect``).
 #: Maps a name to the rule the self-test must trip.  ``bini322-m10-ocr``
-#: substitutes a corrupted catalog entry (algorithms family); the rest
-#: swap the flow family's scan target for a synthetic known-bad package
-#: from :data:`repro.staticcheck.flow.fixtures.FLOW_SEED_DEFECTS`.
+#: substitutes a corrupted catalog entry (algorithms family);
+#: ``gen-dropped-product`` a corrupted compiled program (plans family);
+#: the rest swap the flow family's scan target for a synthetic known-bad
+#: package from :data:`repro.staticcheck.flow.fixtures.FLOW_SEED_DEFECTS`.
 SEED_DEFECTS: dict[str, str] = {
     "bini322-m10-ocr": "APA003",
+    "gen-dropped-product": "GEN005",
     "asy-blocking-coroutine": "ASY001",
     "lck-two-lock-cycle": "LCK001",
     "own-escaping-arena": "OWN001",
@@ -185,7 +187,8 @@ def run_lint(config: LintConfig | None = None) -> LintResult:
     if "plans" in config.families:
         from repro.staticcheck.codecheck import check_plans
 
-        gen_findings, audited = check_plans(names=names)
+        gen_findings, audited = check_plans(
+            names=names, seed_defect=config.seed_defect)
         findings.extend(gen_findings)
         checked["plan term lists"] = audited
 

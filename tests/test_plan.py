@@ -36,7 +36,10 @@ def _operands(shape, dtype=np.float64, seed=7):
 
 ORACLE_GRID = [
     (name, dtype, steps, shape)
-    for name in ("strassen222", "bini322", "laderman333", "dps222")
+    for name in ("strassen222", "bini322", "laderman333", "dps222",
+                 # c0 = -1 and non-unit first terms: the compiler's fused
+                 # and scale branches
+                 "winograd222", "bini232")
     for dtype in (np.float32, np.float64)
     for steps in (1, 2)
     # divisible by every rule's dims at both depths, and ragged
@@ -53,6 +56,8 @@ def test_every_path_matches_the_reference_bitwise(name, dtype, steps, shape):
     paths = {
         "cached": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
         "cached again": apa_matmul(A, B, alg, steps=steps, plan_cache=cache),
+        "gemm seam": apa_matmul(A, B, alg, steps=steps, gemm=np.matmul,
+                                plan_cache=cache),
         "uncached": apa_matmul(A, B, alg, steps=steps, plan_cache=False),
         "process": ENGINE.matmul(A, B, alg, executor="process", threads=2,
                                  steps=steps),
@@ -310,6 +315,58 @@ def test_evaluate_memoization_returns_same_arrays():
     assert other[0] is not first[0]
     alg.clear_evaluation_cache()
     assert alg.evaluate(0.01, dtype=np.float32)[0] is not first[0]
+
+
+def test_plans_share_one_program_per_algorithm_dtype_lambda(monkeypatch):
+    import repro.core.plan as plan_module
+
+    alg = get_algorithm("strassen222")
+    alg.clear_evaluation_cache()
+    cache = PlanCache()
+    first = cache.plan_for(alg, 16, 16, 16, np.float32, lam=1.0)
+    compiled = []
+    real = plan_module.term_lists
+    monkeypatch.setattr(plan_module, "term_lists",
+                        lambda *a: compiled.append(a) or real(*a))
+    second = cache.plan_for(alg, 24, 20, 12, np.float32, lam=1.0)
+    assert second is not first
+    assert second.program is first.program
+    assert second.s_terms is first.s_terms
+    assert compiled == []
+    other = cache.plan_for(alg, 16, 16, 16, np.float64, lam=1.0)
+    assert other.program is not first.program
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("name", ["strassen222", "bini322", "winograd222"])
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("shape", [(36, 36, 36), (17, 13, 11)])
+def test_gemm_seam_sees_rank_to_the_steps_calls(name, steps, shape):
+    # The compiled program writes products straight into C blocks; with
+    # a seam it copies them in instead, one seam call per product.
+    alg = get_algorithm(name)
+    A, B = _operands(shape, dtype=np.float32)
+    calls = []
+
+    def seam(S, T):
+        calls.append(S.shape)
+        return np.matmul(S, T)
+
+    C = apa_matmul(A, B, alg, steps=steps, gemm=seam, plan_cache=PlanCache())
+    assert len(calls) == alg.rank ** steps
+    assert np.array_equal(C, reference_matmul(A, B, alg, steps=steps))
+
+
+def test_lambda_sweep_keeps_programs_bounded():
+    alg = get_algorithm("bini322")
+    alg.clear_evaluation_cache()
+    cache = PlanCache()
+    programs = {id(cache.plan_for(alg, 12, 8, 8, np.float32,
+                                  lam=2.0 ** -(j + 1)).program)
+                for j in range(20)}
+    assert len(programs) == 20
+    assert len(alg._compiled_cache) <= alg.EVAL_CACHE_SIZE
+    assert len(alg._eval_cache) <= alg.EVAL_CACHE_SIZE
 
 
 # ----------------------------------------------------------------------

@@ -347,6 +347,19 @@ class TestDivergenceGuard:
         assert isinstance(model.layers[0].backend, ClassicalBackend)
         assert downgrade_backends(model) == 0  # nothing left to downgrade
 
+    def test_engine_classical_backend_is_not_downgraded(self, rng):
+        from repro.core.engine import default_engine
+        from repro.robustness.divergence import downgrade_backends
+        from repro.robustness.events import EventLog
+
+        model = small_model(rng)
+        backend = default_engine().backend()
+        model.layers[0].backend = backend
+        log = EventLog()
+        assert downgrade_backends(model, log) == 0
+        assert model.layers[0].backend is backend
+        assert log.count("downgrade") == 0
+
     def test_downgrade_unwraps_faulty_backend(self, rng):
         from repro.core.backend import ClassicalBackend
         from repro.core.engine import default_engine
