@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backend import ClassicalBackend, MatmulBackend
+from repro.core.lam import level_class, working_bits
 from repro.obs.registry import default_registry
 from repro.robustness.events import EventLog
 from repro.robustness.policy import CircuitBreaker, EscalationPolicy, shape_class
@@ -194,28 +195,16 @@ class GuardedBackend:
         alg = getattr(self.inner, "algorithm", None)
         if isinstance(alg, (tuple, list)):
             # Non-stationary recursion compounds like one rule with the
-            # combined phi (paper §6) — the same (min sigma, sum phi)
-            # aggregation the engine's lambda optimum uses.
-            classical = inner_dim * 2.0 ** -d
-            total_phi = sum(a.phi for a in alg)
-            sigma = min((a.sigma for a in alg if a.is_apa), default=0)
-            if total_phi == 0 or sigma == 0:
-                bound = classical
-            else:
-                bound = max(
-                    2.0 ** (-d * max(sigma, 1) / (max(sigma, 1) + total_phi)),
-                    classical)
+            # combined class the engine's lambda optimum uses.
+            sigma, phi = level_class(alg)
+            bound = inner_dim * 2.0 ** -d
+            if phi and sigma:
+                bound = max(2.0 ** (-d * sigma / (sigma + phi)), bound)
             return self.policy.bound_factor * bound
         bound = predicted_error_bound(
             self._algorithm, d=d, steps=steps, inner_dim=inner_dim
         )
         return self.policy.bound_factor * bound
-
-    def _precision_bits(self, A: np.ndarray, B: np.ndarray) -> int:
-        from repro.core.lam import precision_bits
-
-        dtype = np.result_type(A.dtype, B.dtype)
-        return precision_bits(dtype) if dtype.kind == "f" else 52
 
     # ------------------------------------------------------------------
     # the guarded call
@@ -236,7 +225,7 @@ class GuardedBackend:
             self.log.emit("breaker-probe", self.name,
                           f"half-open probe for {key[1]}")
 
-        d = self._precision_bits(A, B)
+        d = working_bits(np.result_type(A.dtype, B.dtype))
         steps = self._steps()
         threshold = self._threshold(A.shape[1], d, steps)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
 from repro.core.engine import default_engine
-from repro.core.lam import optimal_lambda, precision_bits
+from repro.core.lam import default_lambda
 from repro.core.plan import acquire_plan, plannable
 from repro.types import GemmFn
 
@@ -112,9 +112,7 @@ def _apa_matmul_impl(
 
     A, B = plannable(A, B)
     if lam is None:
-        if d is None:
-            d = precision_bits(A.dtype) if A.dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d, steps=steps)
+        lam = default_lambda(algorithm, A.dtype, d, steps)
 
     plan = acquire_plan(plan_cache, algorithm, A.shape[0], A.shape[1],
                         B.shape[1], A.dtype, lam, steps=steps)

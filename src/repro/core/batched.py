@@ -72,14 +72,12 @@ def _batched_matmul_impl(
             for i in range(batch)
         ])
 
-    from repro.core.lam import optimal_lambda, precision_bits
+    from repro.core.lam import default_lambda
 
     A, B = plannable(A, B)
     dtype = A.dtype
     if lam is None:
-        if d is None:
-            d = precision_bits(dtype) if dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d)
+        lam = default_lambda(algorithm, dtype, d)
 
     plan = acquire_plan(plan_cache, algorithm, M, N, K, dtype, lam,
                         mode="batched")

@@ -63,31 +63,35 @@ _CFG_FIELDS: tuple[str, ...] = tuple(
 
 _IMPL_LOCK = threading.Lock()
 _seq_impl: Callable[..., np.ndarray] | None = None
-_threaded_impl: Callable[..., np.ndarray] | None = None
-_batched_impl: Callable[..., np.ndarray] | None = None
-_process_impl: Callable[..., np.ndarray] | None = None
-_shard_impl: Callable[..., np.ndarray] | None = None
+_IMPLS: dict[str, Callable[..., np.ndarray]] = {}
 
 
-def _load_impls() -> None:
-    global _seq_impl, _threaded_impl, _batched_impl
-    global _process_impl, _shard_impl
+def _load_impls() -> Callable[..., np.ndarray]:
+    """Bind every impl once; returns the sequential one."""
+    global _seq_impl
     with _IMPL_LOCK:
-        if _seq_impl is not None:
-            return
-        from repro.core.apa_matmul import _apa_matmul_impl
-        from repro.core.batched import _batched_matmul_impl
-        from repro.parallel.executor import _threaded_matmul_impl
-        from repro.parallel.procpool import _process_matmul_impl
-        from repro.shard.sharded import _shard_matmul_impl
+        if _seq_impl is None:
+            from repro.core.apa_matmul import _apa_matmul_impl
+            from repro.core.batched import _batched_matmul_impl
+            from repro.parallel.executor import _threaded_matmul_impl
+            from repro.parallel.procpool import _process_matmul_impl
+            from repro.shard.sharded import _shard_matmul_impl
 
-        _batched_impl = _batched_matmul_impl
-        _threaded_impl = _threaded_matmul_impl
-        _process_impl = _process_matmul_impl
-        _shard_impl = _shard_matmul_impl
-        # Bound last: its non-None-ness is the "all loaded" flag read
-        # without the lock by the dispatch paths.
-        _seq_impl = _apa_matmul_impl
+            _IMPLS.update(batched=_batched_matmul_impl,
+                          threaded=_threaded_matmul_impl,
+                          process=_process_matmul_impl,
+                          shard=_shard_matmul_impl)
+            # Bound last: its non-None-ness is the "all loaded" flag read
+            # without the lock by the dispatch paths.
+            _seq_impl = _apa_matmul_impl
+        return _seq_impl
+
+
+def _impl(name: str) -> Callable[..., np.ndarray]:
+    """The private implementation ``name``, binding all of them first."""
+    if _seq_impl is None:
+        _load_impls()
+    return _IMPLS[name]
 
 
 def _resolve_algorithm(algorithm: Any) -> Any:
@@ -120,11 +124,7 @@ def _run_sequential(
     active the whole call becomes one span (the plan's execute span
     nests inside); when it is not, this branch is the entire cost.
     """
-    impl = _seq_impl
-    if impl is None:
-        _load_impls()
-        impl = _seq_impl
-        assert impl is not None
+    impl = _seq_impl or _load_impls()
     tracer = _obs_tracer.ACTIVE
     if tracer is None:
         return impl(A, B, algorithm, lam, steps, gemm, d, plan_cache)
@@ -515,12 +515,7 @@ class ExecutionEngine:
         if getattr(A, "ndim", 2) == 3 or getattr(B, "ndim", 2) == 3:
             return self._dispatch_batched(A, B, cfg, alg)
         if cfg.shard is not None:
-            impl = _shard_impl
-            if impl is None:
-                _load_impls()
-                impl = _shard_impl
-                assert impl is not None
-            return impl(A, B, alg, cfg, self, gemm, report)
+            return _impl("shard")(A, B, alg, cfg, self, gemm, report)
         if (cfg.min_dim and A.ndim == 2 and B.ndim == 2
                 and A.shape[1] == B.shape[0]
                 and min(A.shape[0], A.shape[1], B.shape[1]) < cfg.min_dim):
@@ -539,33 +534,26 @@ class ExecutionEngine:
                 raise ValueError(
                     "executor='process' runs gemms in worker processes; "
                     "the gemm/fault seams are thread-executor only")
-            impl = _process_impl
-            if impl is None:
-                _load_impls()
-                impl = _process_impl
-                assert impl is not None
-            return impl(
-                A, B, alg, threads, lam=cfg.lam,
-                strategy=cfg.strategy or "hybrid", schedule=cfg.schedule,
-                steps=steps, retries=cfg.retries or 0, timeout=cfg.timeout,
-                check_finite=bool(cfg.check_finite), report=report,
-                plan_cache=cfg.plan_cache)
+            return self._scheduled("process", A, B, alg, cfg, cfg.lam,
+                                   steps, report)
         if (threads > 1 or bool(cfg.retries) or cfg.timeout is not None
                 or bool(cfg.check_finite) or cfg.schedule is not None
                 or report is not None):
-            impl = _threaded_impl
-            if impl is None:
-                _load_impls()
-                impl = _threaded_impl
-                assert impl is not None
-            return impl(
-                A, B, alg, threads, lam=cfg.lam,
-                strategy=cfg.strategy or "hybrid", schedule=cfg.schedule,
-                gemm=gemm, steps=steps, retries=cfg.retries or 0,
-                timeout=cfg.timeout, check_finite=bool(cfg.check_finite),
-                report=report, plan_cache=cfg.plan_cache)
+            return self._scheduled("threaded", A, B, alg, cfg, cfg.lam,
+                                   steps, report, gemm=gemm)
         return _run_sequential(A, B, alg, cfg.lam, steps, gemm, cfg.d,
                                cfg.plan_cache)
+
+    def _scheduled(self, runner: str, A: np.ndarray, B: np.ndarray,
+                   alg: Any, cfg: ExecutionConfig, lam: float | None,
+                   steps: int, report: Any, **gemm: Any) -> np.ndarray:
+        """Run the outer level on the thread or process schedule runner."""
+        return _impl(runner)(  # type: ignore[no-any-return]
+            A, B, alg, cfg.threads or 1, lam=lam, d=cfg.d,
+            strategy=cfg.strategy or "hybrid", schedule=cfg.schedule,
+            steps=steps, retries=cfg.retries or 0, timeout=cfg.timeout,
+            check_finite=bool(cfg.check_finite), report=report,
+            plan_cache=cfg.plan_cache, **gemm)
 
     # -- dispatch targets ----------------------------------------------
 
@@ -612,13 +600,9 @@ class ExecutionEngine:
                 "single-step path (threads/steps/executor are 2-D "
                 "knobs; batch_mode='loop' additionally accepts the "
                 "scheduled knobs per item)")
-        impl = _batched_impl
-        if impl is None:
-            _load_impls()
-            impl = _batched_impl
-            assert impl is not None
-        return impl(A, B, alg, cfg.lam, cfg.batch_mode or "stacked",
-                    cfg.d, cfg.plan_cache)
+        return _impl("batched")(A, B, alg, cfg.lam,
+                                cfg.batch_mode or "stacked", cfg.d,
+                                cfg.plan_cache)
 
     def _run_classical(self, A: np.ndarray, B: np.ndarray,
                        cfg: ExecutionConfig,
@@ -655,20 +639,10 @@ class ExecutionEngine:
                 "executor")
         lam = cfg.lam
         if lam is None:
-            # The combined-phi optimum: levels multiply intermediate
-            # magnitudes, so phi sums across levels (paper §6).
-            from repro.core.lam import precision_bits
+            from repro.core.lam import default_lambda
 
-            dtype = np.result_type(A.dtype, B.dtype)
-            d = cfg.d
-            if d is None:
-                d = precision_bits(dtype) if dtype.kind == "f" else 52
-            total_phi = sum(alg.phi for alg in algs)
-            sigma = min((alg.sigma for alg in algs if alg.is_apa), default=0)
-            if total_phi == 0 or sigma == 0:
-                lam = 1.0
-            else:
-                lam = float(2.0 ** round(-d / (sigma + total_phi)))
+            lam = default_lambda(algs, np.result_type(A.dtype, B.dtype),
+                                 cfg.d)
         base_gemm: GemmFn = np.matmul if gemm is None else gemm
         threads = 1 if cfg.threads is None else cfg.threads
         n_levels = len(algs)
@@ -682,17 +656,8 @@ class ExecutionEngine:
                 return level(X, Y, _d)
 
             if depth == 0 and threads > 1:
-                impl = _threaded_impl
-                if impl is None:
-                    _load_impls()
-                    impl = _threaded_impl
-                    assert impl is not None
-                return impl(
-                    Ab, Bb, algs[0], threads, lam=lam,
-                    strategy=cfg.strategy or "hybrid", schedule=cfg.schedule,
-                    gemm=inner, steps=1, retries=cfg.retries or 0,
-                    timeout=cfg.timeout, check_finite=bool(cfg.check_finite),
-                    report=None, plan_cache=cfg.plan_cache)
+                return self._scheduled("threaded", Ab, Bb, algs[0], cfg,
+                                       lam, 1, None, gemm=inner)
             return _run_sequential(Ab, Bb, algs[depth], lam, 1, inner,
                                    cfg.d, cfg.plan_cache)
 

@@ -123,11 +123,10 @@ def surrogate_matmul(
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
-    from repro.core.lam import precision_bits
+    from repro.core.lam import working_bits
 
     dtype = np.result_type(A.dtype, B.dtype)
-    if d is None:
-        d = precision_bits(dtype) if dtype.kind == "f" else 52
+    d = working_bits(dtype, d)
 
     if emulate_flops:
         _burn_flop_profile(A, B, algorithm, steps)

@@ -17,23 +17,30 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Any, Callable, ContextManager, Sequence
 
 import numpy as np
 
 from repro.core.engine import _run_sequential
+from repro.core.lam import default_lambda
 from repro.core.plan import accumulate, acquire_plan, combine, plannable
 from repro.obs import tracer as _obs_tracer
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.pool import get_pool
 from repro.parallel.strategy import Schedule
 from repro.robustness.events import EventLog
+from repro.types import GemmFn
 
 __all__ = ["JobOutcome", "ExecutionReport", "DEFAULT_BACKOFF"]
 
 #: Retry pacing when the caller does not supply a policy: short enough
 #: not to matter against a gemm, long enough to ride out a transient.
 DEFAULT_BACKOFF = BackoffPolicy(base=0.001, cap=0.050)
+
+#: A job's ``(S, T)`` operands, built from its mult index.
+Operands = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,11 @@ class JobOutcome:
 
 @dataclass
 class ExecutionReport:
-    """Per-job outcomes + structured failure events of one threaded call.
+    """Per-job outcomes + structured failure events of one scheduled call.
 
     Pass a fresh instance as ``engine.matmul(..., report=...)`` to
-    capture it (``report`` selects the threaded runner);
+    capture it (``report`` selects the threaded runner unless
+    ``executor='process'``; both record the same event kinds).
     :func:`repro.parallel.tracing.render_execution_gantt` renders the
     timeline with failures highlighted.
     """
@@ -87,12 +95,151 @@ class _WorkerNonFinite(ArithmeticError):
     """Internal: a worker's block came back with NaN/Inf entries."""
 
 
+# ---------------------------------------------------------------------
+# What the thread and process runners share: the preamble, one job's
+# attempt ladder, and landing outcomes in the report.  Each runner keeps
+# only where its blocks are staged and how a job is shipped.
+# ---------------------------------------------------------------------
+
+def _prepare(A: np.ndarray, B: np.ndarray, algorithm: Any,
+             lam: float | None, d: int | None, steps: int, plan_cache: Any,
+             schedule: Schedule | None, strategy: str, workers: int,
+             runner: str) -> tuple:
+    """Checks, plan-dtype cast, default ``lambda`` and the plan; returns
+    ``(A, B, lam, plan, schedule)``.  A custom schedule is not part of
+    the plan key, so it runs on an uncached plan."""
+    if algorithm.is_surrogate:
+        raise ValueError(
+            f"{algorithm.name!r} is a metadata surrogate; real {runner} "
+            "execution needs full coefficients (use the simulator for it)"
+        )
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
+    A, B = plannable(A, B)
+    if lam is None:
+        lam = default_lambda(algorithm, A.dtype, d, steps)
+    plan = acquire_plan(
+        False if schedule is not None else plan_cache, algorithm,
+        A.shape[0], A.shape[1], B.shape[1], A.dtype, lam, steps=steps,
+        mode="threaded", strategy=strategy, threads=workers)
+    return A, B, lam, plan, plan.schedule if schedule is None else schedule
+
+
+def _job_gemm(algorithm: Any, lam: float, steps: int,
+              gemm: GemmFn) -> GemmFn:
+    """``gemm``, or for ``steps > 1`` the inner levels run sequentially
+    inside the job.  They go through the engine's sequential runner (not
+    apa_matmul) so an active execution_context cannot re-thread the
+    recursion from inside a worker."""
+    if steps == 1:
+        return gemm
+
+    def inner(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        return _run_sequential(S, T, algorithm, lam, steps - 1, gemm,
+                               None, None)
+
+    return inner
+
+
+def _run_job(mult: int, operands: Operands, gemm: GemmFn, retries: int,
+             check_finite: bool, policy: BackoffPolicy) -> tuple:
+    """One job's attempt ladder: gemm, NaN/Inf check, backoff and retry,
+    then classical gemm for this block only.
+
+    Returns ``(block, status, attempts, error, start, end, delays,
+    events)``, each event a plain ``(kind, mult, detail, attempt, t)``
+    tuple a worker process can ship back.  Timing starts inside the job,
+    not at the phase's common submit time, which would charge every job
+    for its time in the queue.
+    """
+    start = time.perf_counter()
+    S, T = operands(mult)
+    delays: list[float] = []
+    events: list[tuple[str, int, str, int, float]] = []
+
+    def emit(kind: str, detail: str, attempt: int = 0) -> None:
+        events.append((kind, mult, detail, attempt, time.perf_counter()))
+
+    error = ""
+    backoff = None
+    for attempt in range(1, retries + 2):
+        try:
+            M = gemm(S, T)
+            if check_finite and not np.isfinite(M).all():
+                raise _WorkerNonFinite("block contains NaN/Inf")
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            emit("worker-nonfinite" if isinstance(exc, _WorkerNonFinite)
+                 else "worker-error", error, attempt)
+            if attempt <= retries:
+                # Back off before the retry: immediate re-runs fail for
+                # the same transient reason, and jitter keeps concurrent
+                # retriers desynchronized.  Keyed by the mult index so
+                # each job's schedule is independent and reproducible.
+                if backoff is None:
+                    backoff = policy.sequence(key=mult)
+                delay = backoff.wait()
+                delays.append(delay)
+                emit("backoff", f"slept {delay * 1e3:.3f} ms before retry",
+                     attempt)
+                emit("retry", f"attempt {attempt + 1} of {retries + 1}",
+                     attempt)
+            continue
+        return (M, "ok" if attempt == 1 else "retried", attempt, "", start,
+                time.perf_counter(), delays, events)
+    emit("job-fallback", "classical gemm recomputed the block")
+    return (np.matmul(S, T), "fallback", retries + 1, error, start,
+            time.perf_counter(), delays, events)
+
+
+def _emit(report: ExecutionReport | None, kind: str, mult: int,
+          detail: str, attempt: int = 0, t: float | None = None) -> None:
+    if report is not None:
+        report.events.emit(kind, f"mult {mult}", detail, attempt, t)
+
+
+def _record(report: ExecutionReport | None, mult: int, status: str,
+            attempts: int, error: str, start: float, end: float,
+            delays: Sequence[float] = (), events: Sequence = ()) -> None:
+    """Land one job's slept delays, events and outcome in ``report``."""
+    if report is None:
+        return
+    report.backoff_delays.extend(delays)
+    for event in events:
+        _emit(report, *event)
+    report.jobs.append(JobOutcome(mult, status, attempts, start, end,
+                                  error=error))
+
+
+def _rescue(report: ExecutionReport | None, mult: int, operands: Operands,
+            kind: str, detail: str, status: str, attempts: int,
+            start: float, error: str) -> np.ndarray:
+    """Recompute a block the job never delivered, classically, here."""
+    _emit(report, kind, mult, detail)
+    M = np.matmul(*operands(mult))
+    _record(report, mult, status, attempts, error, start,
+            time.perf_counter())
+    return M
+
+
+def _call_span(name: str, algorithm: Any, A: np.ndarray, B: np.ndarray,
+               steps: int, **args: Any) -> ContextManager[Any]:
+    """The umbrella span of one scheduled call (a no-op untraced)."""
+    tracer = _obs_tracer.ACTIVE
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, cat="parallel", algorithm=algorithm.name,
+                       shape=f"{tuple(A.shape)}@{tuple(B.shape)}",
+                       steps=steps, **args)
+
+
 def _threaded_matmul_impl(
     A: np.ndarray,
     B: np.ndarray,
     algorithm,
     threads: int,
     lam: float | None = None,
+    d: int | None = None,
     strategy: str = "hybrid",
     schedule: Schedule | None = None,
     gemm=None,
@@ -133,49 +280,16 @@ def _threaded_matmul_impl(
     thread.  Every recovery action is recorded in ``report`` when one
     is passed.
     """
-    if algorithm.is_surrogate:
-        raise ValueError(
-            f"{algorithm.name!r} is a metadata surrogate; real threaded "
-            "execution needs full coefficients (use the simulator for it)"
-        )
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
-    if gemm is None:
-        gemm = np.matmul
-
-    from repro.core.lam import optimal_lambda, precision_bits
-
-    A, B = plannable(A, B)
-    dtype = A.dtype
-    if lam is None:
-        d = precision_bits(dtype) if dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d, steps=steps)
-
-    if steps > 1:
-        # Inner levels run sequentially inside each scheduled job.  They
-        # go through the engine's sequential runner (not apa_matmul)
-        # so an active execution_context cannot re-thread the
-        # recursion from inside a pool worker.
-        inner_gemm = gemm
-
-        def gemm(S, T, _inner=inner_gemm):  # noqa: F811
-            return _run_sequential(S, T, algorithm, lam, steps - 1,
-                                   _inner, None, None)
-
-    # Observability: one umbrella span for the call, one span per
-    # scheduled job (opened in the worker thread, so the Chrome trace
-    # shows real per-thread lanes).  Disabled cost: this None check.
+    A, B, lam, plan, schedule = _prepare(
+        A, B, algorithm, lam, d, steps, plan_cache, schedule, strategy,
+        threads, "threaded")
+    gemm = _job_gemm(algorithm, lam, steps,
+                     np.matmul if gemm is None else gemm)
+    policy = getattr(report, "backoff", None) or DEFAULT_BACKOFF
+    # One span per scheduled job, opened in the worker thread so the
+    # Chrome trace shows real per-thread lanes.
     tracer = _obs_tracer.ACTIVE
 
-    # A custom schedule is not part of the plan key, so it runs on an
-    # uncached plan.
-    plan = acquire_plan(
-        False if schedule is not None else plan_cache, algorithm,
-        A.shape[0], A.shape[1], B.shape[1], dtype, lam, steps=steps,
-        mode="threaded", strategy=strategy, threads=threads)
-    if schedule is None:
-        schedule = plan.schedule
-    r = plan.rank
     workspace = plan.checkout()
     a_blocks, b_blocks = plan.stage(workspace, A, B)
 
@@ -183,120 +297,48 @@ def _threaded_matmul_impl(
         return (combine(plan.program.s[i], a_blocks),
                 combine(plan.program.t[i], b_blocks))
 
-    def record(outcome: JobOutcome) -> None:
-        if report is not None:
-            report.jobs.append(outcome)
+    def run_mult(i: int) -> tuple:
+        with nullcontext() if tracer is None else tracer.span(
+                "executor.job", cat="parallel", mult=i,
+                algorithm=algorithm.name):
+            return _run_job(i, operands, gemm, retries, check_finite, policy)
 
-    def emit(kind: str, mult: int, detail: str, attempt: int = 0) -> None:
-        if report is not None:
-            report.events.emit(kind, f"mult {mult}", detail, attempt=attempt)
+    def land(i: int, outcome: tuple) -> np.ndarray:
+        _record(report, i, *outcome[1:])
+        return outcome[0]
 
-    def run_mult(i: int) -> tuple[np.ndarray, str, int, str, float, float]:
-        """Returns ``(block, status, attempts, error_text, start, end)``.
-
-        Timing is captured *inside* the job: all jobs of a phase are
-        submitted with one timestamp, so using the phase submit time as
-        the start would charge every job for its time in the queue (the
-        bug render_execution_gantt used to inherit).
-        """
-        if tracer is None:
-            return _run_mult(i)
-        with tracer.span("executor.job", cat="parallel", mult=i,
-                         algorithm=algorithm.name):
-            return _run_mult(i)
-
-    backoff_policy = (report.backoff if report is not None
-                      and report.backoff is not None else DEFAULT_BACKOFF)
-
-    def _run_mult(i: int) -> tuple[np.ndarray, str, int, str, float, float]:
-        start = time.perf_counter()
-        S, T = operands(i)
-        error_text = ""
-        backoff = None
-        for attempt in range(1, retries + 2):
-            try:
-                M = gemm(S, T)
-                if check_finite and not np.isfinite(M).all():
-                    raise _WorkerNonFinite("block contains NaN/Inf")
-            except Exception as exc:
-                kind = ("worker-nonfinite"
-                        if isinstance(exc, _WorkerNonFinite)
-                        else "worker-error")
-                error_text = f"{type(exc).__name__}: {exc}"
-                emit(kind, i, error_text, attempt=attempt)
-                if attempt <= retries:
-                    # Back off before the retry: immediate re-runs fail
-                    # for the same transient reason, and jitter keeps
-                    # concurrent retriers desynchronized.  Keyed by the
-                    # mult index so each job's schedule is independent
-                    # and reproducible.
-                    if backoff is None:
-                        backoff = backoff_policy.sequence(key=i)
-                    delay = backoff.wait()
-                    if report is not None:
-                        report.backoff_delays.append(delay)
-                    emit("backoff", i, f"slept {delay * 1e3:.3f} ms "
-                         "before retry", attempt=attempt)
-                    emit("retry", i, f"attempt {attempt + 1} of "
-                         f"{retries + 1}", attempt=attempt)
-                continue
-            status = "ok" if attempt == 1 else "retried"
-            return M, status, attempt, "", start, time.perf_counter()
-        # All attempts failed: classical gemm for this block only.
-        emit("job-fallback", i, "classical gemm recomputed the block")
-        return (np.matmul(S, T), "fallback", retries + 1, error_text,
-                start, time.perf_counter())
-
-    def classical_rescue(i: int) -> np.ndarray:
-        S, T = operands(i)
-        return np.matmul(S, T)
-
-    outer_span = None
-    if tracer is not None:
-        outer_span = tracer.span(
-            "threaded_apa_matmul", cat="parallel",
-            algorithm=algorithm.name, threads=threads, strategy=strategy,
-            shape=f"{tuple(A.shape)}@{tuple(B.shape)}", steps=steps)
-        outer_span.__enter__()
     try:
-        products: dict[int, np.ndarray] = {}
-        if threads == 1:
-            for i in range(r):
-                M, status, attempts, err, t_start, t_end = run_mult(i)
-                products[i] = M
-                record(JobOutcome(i, status, attempts, t_start, t_end,
-                                  error=err))
-        else:
-            pool = get_pool(threads)
-            for phase in schedule.phases:
-                t0 = time.perf_counter()
-                futures = {
-                    mult: pool.submit(run_mult, mult) for mult, _ in phase.jobs
-                }
-                for mult, future in futures.items():
-                    try:
-                        (M, status, attempts, err,
-                         t_start, t_end) = future.result(timeout=timeout)
-                    except FutureTimeoutError:
-                        emit("worker-timeout", mult,
-                             f"no result within {timeout}s; classical gemm "
-                             "recomputed the block in the caller thread")
-                        # The worker never reported, so the phase submit
-                        # time is the only start we have for this job.
-                        M, status, attempts, err, t_start, t_end = (
-                            classical_rescue(mult), "timeout-fallback", 1,
-                            f"timeout after {timeout}s", t0,
-                            time.perf_counter())
-                        future.cancel()
-                    products[mult] = M
-                    record(JobOutcome(mult, status, attempts, t_start,
-                                      t_end, error=err))
+        with _call_span("threaded_apa_matmul", algorithm, A, B, steps,
+                        threads=threads, strategy=strategy):
+            products: dict[int, np.ndarray] = {}
+            if threads == 1:
+                for i in range(plan.rank):
+                    products[i] = land(i, run_mult(i))
+            else:
+                pool = get_pool(threads)
+                for phase in schedule.phases:
+                    t0 = time.perf_counter()
+                    futures = {mult: pool.submit(run_mult, mult)
+                               for mult, _ in phase.jobs}
+                    for mult, future in futures.items():
+                        try:
+                            outcome = future.result(timeout=timeout)
+                        except FutureTimeoutError:
+                            future.cancel()
+                            # The worker never reported, so the phase
+                            # submit time is the only start we have.
+                            products[mult] = _rescue(
+                                report, mult, operands, "worker-timeout",
+                                f"no result within {timeout}s; classical "
+                                "gemm recomputed the block in the caller "
+                                "thread", "timeout-fallback", 1, t0,
+                                f"timeout after {timeout}s")
+                            continue
+                        products[mult] = land(mult, outcome)
 
-        accumulate(plan.program, [products[i] for i in range(r)],
-                   workspace.c_blocks[0], workspace.scratch)
-        # Always copy out: the arena C belongs to the plan.
-        return np.array(workspace.C[0][: A.shape[0], : B.shape[1]])
+            accumulate(plan.program, [products[i] for i in range(plan.rank)],
+                       workspace.c_blocks[0], workspace.scratch)
+            # Always copy out: the arena C belongs to the plan.
+            return np.array(workspace.C[0][: A.shape[0], : B.shape[1]])
     finally:
-        if outer_span is not None:
-            outer_span.__exit__(None, None, None)
         plan.release(workspace)

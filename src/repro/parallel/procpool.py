@@ -10,11 +10,14 @@ product blocks live in :mod:`multiprocessing.shared_memory` segments
 zero-copy views and write products straight into the shared OUT
 segment, and the only per-task traffic is a small pickled spec.
 
-Failure contract (mirrors the threaded executor's ladder):
+Failure contract (the threaded executor's, with the same event kinds):
 
-- a gemm that raises inside a worker is retried *in the worker* with
-  the same deterministic decorrelated-jitter backoff, then recomputed
-  classically in the worker — statuses ``ok``/``retried``/``fallback``;
+- a gemm that raises inside a worker runs the threaded executor's own
+  attempt ladder *in the worker* — ``worker-error`` (or
+  ``worker-nonfinite``), ``backoff`` and ``retry`` per failed attempt,
+  then ``job-fallback`` to a classical gemm — with statuses
+  ``ok``/``retried``/``fallback``; the worker returns its events and
+  slept delays for the parent to record;
 - a worker that overruns ``timeout`` is abandoned: the parent
   recomputes the block classically (``timeout-fallback``) and condemns
   the call's segments so the straggler's late write cannot reach any
@@ -48,6 +51,7 @@ All module-global rebinds happen under ``_LOCK`` (lint rule PAR001).
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing as mp
 import os
 import threading
@@ -61,16 +65,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.engine import _run_sequential
-from repro.core.plan import (Combination, accumulate, acquire_plan,
-                             block_views, combine, plannable)
+from repro.core.plan import Combination, accumulate, block_views, combine
 from repro.obs import tracer as _obs_tracer
 from repro.obs.registry import default_registry
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.executor import (DEFAULT_BACKOFF, ExecutionReport,
-                                     JobOutcome)
+                                     _call_span, _emit, _job_gemm, _prepare,
+                                     _record, _rescue, _run_job)
 from repro.parallel.shm import acquire_segment, release_segment
 from repro.parallel.strategy import Schedule
+from repro.robustness.inject import FaultSpec, GemmFaultInjector
 
 __all__ = ["get_process_pool", "shutdown_process_pool",
            "process_pool_stats"]
@@ -82,6 +86,9 @@ __all__ = ["get_process_pool", "shutdown_process_pool",
 #: (check_finite path).  Tests monkeypatch this; production never sets
 #: it.
 _TEST_INJECT: str | None = None
+_INJECT = {"raise": FaultSpec("raise"),
+           "raise-once": FaultSpec("raise", calls=(0,)),
+           "nan": FaultSpec("nan", calls=(0,), poison_fraction=1.0)}
 
 _LOCK = threading.Lock()
 _POOL: ProcessPoolExecutor | None = None
@@ -235,25 +242,16 @@ def _attach_segment(
     return seg
 
 
-class _NonFiniteBlock(ArithmeticError):
-    """Internal: a worker's product block came back with NaN/Inf."""
-
-
 @dataclass(frozen=True)
 class _TaskSpec:
     """Everything one worker needs for one scheduled sub-product."""
 
     mult: int
-    a_name: str
-    b_name: str
-    out_name: str
-    a_shape: tuple[int, int]
-    b_shape: tuple[int, int]
-    out_shape: tuple[int, int, int]
+    #: ``(name, shape)`` of the padded A, padded B and OUT segments.
+    segments: tuple[tuple[str, tuple[int, ...]], ...]
     dtype: str
-    m: int
-    n: int
-    k: int
+    #: The rule's ``(m, n, k)`` block grid.
+    dims: tuple[int, int, int]
     #: The program's compiled ``s[mult]``/``t[mult]`` combinations.
     s_sum: Combination
     t_sum: Combination
@@ -272,8 +270,10 @@ class _TaskSpec:
     inject: str | None
 
 
-def _task_algorithm(spec: _TaskSpec) -> Any:
-    kind, value = spec.algorithm
+def _task_algorithm(ref: Any) -> Any:
+    if ref is None:
+        return None
+    kind, value = ref
     if kind == "catalog":
         from repro.algorithms.catalog import get_algorithm
 
@@ -282,72 +282,38 @@ def _task_algorithm(spec: _TaskSpec) -> Any:
 
 
 def _run_task(spec: _TaskSpec) -> tuple:
-    """Worker body: S/T combination, gemm ladder, OUT write.
+    """Worker body: attach the segments, run the shared attempt ladder
+    (:func:`~repro.parallel.executor._run_job`), write the block to OUT.
 
-    Returns ``(mult, status, attempts, error_text, start, end, delays)``
-    with the threaded executor's status vocabulary.  Gemm faults are
-    handled here with the retry → classical ladder; anything raised
-    outside that loop (attach failure, closed mapping) propagates and
-    the parent recomputes the block classically.
+    Returns the ladder's outcome without the block: ``(status, attempts,
+    error, start, end, delays, events)``.  Anything raised outside the
+    ladder (attach failure, closed mapping) propagates and the parent
+    recomputes the block classically.
     """
-    start = time.perf_counter()
-    dtype = np.dtype(spec.dtype)
-    live = frozenset((spec.a_name, spec.b_name, spec.out_name))
-    a_seg = _attach_segment(spec.a_name, protect=live)
-    b_seg = _attach_segment(spec.b_name, protect=live)
-    out_seg = _attach_segment(spec.out_name, protect=live)
-    for seg in (a_seg, b_seg, out_seg):
+    if spec.inject == "exit":
+        os._exit(17)
+    live = frozenset(name for name, _ in spec.segments)
+    views = []
+    for name, shape in spec.segments:
+        seg = _attach_segment(name, protect=live)
         if seg.buf is None:
-            raise RuntimeError(
-                f"shared-memory mapping {seg.name!r} is closed")
-    Ap = np.ndarray(spec.a_shape, dtype=dtype, buffer=a_seg.buf)
-    Bp = np.ndarray(spec.b_shape, dtype=dtype, buffer=b_seg.buf)
-    OUT = np.ndarray(spec.out_shape, dtype=dtype, buffer=out_seg.buf)
-    S = combine(spec.s_sum, block_views(Ap, spec.m, spec.n))
-    T = combine(spec.t_sum, block_views(Bp, spec.n, spec.k))
+            raise RuntimeError(f"shared-memory mapping {name!r} is closed")
+        views.append(np.ndarray(shape, dtype=spec.dtype, buffer=seg.buf))
+    Ap, Bp, OUT = views
+    m, n, k = spec.dims
 
-    if spec.steps > 1:
-        algorithm = _task_algorithm(spec)
+    def operands(_: int) -> tuple[np.ndarray, np.ndarray]:
+        return (combine(spec.s_sum, block_views(Ap, m, n)),
+                combine(spec.t_sum, block_views(Bp, n, k)))
 
-        def gemm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-            return _run_sequential(X, Y, algorithm, spec.lam,
-                                   spec.steps - 1, np.matmul, None, None)
-    else:
-        gemm = np.matmul
-
-    base, cap, multiplier, seed = spec.backoff
-    policy = BackoffPolicy(base=base, cap=cap, multiplier=multiplier,
-                           seed=seed)
-    backoff = None
-    delays: list[float] = []
-    error_text = ""
-    for attempt in range(1, spec.retries + 2):
-        try:
-            if spec.inject == "exit":
-                os._exit(17)
-            if spec.inject == "raise" or (spec.inject == "raise-once"
-                                          and attempt == 1):
-                raise RuntimeError("injected worker fault")
-            P = gemm(S, T)
-            if spec.inject == "nan" and attempt == 1:
-                P = np.full_like(P, np.nan)
-            if spec.check_finite and not np.isfinite(P).all():
-                raise _NonFiniteBlock("block contains NaN/Inf")
-        except Exception as exc:
-            error_text = f"{type(exc).__name__}: {exc}"
-            if attempt <= spec.retries:
-                if backoff is None:
-                    backoff = policy.sequence(key=spec.mult)
-                delays.append(backoff.wait())
-            continue
-        OUT[spec.mult] = P
-        status = "ok" if attempt == 1 else "retried"
-        return (spec.mult, status, attempt, "", start,
-                time.perf_counter(), delays)
-    # All attempts failed: classical gemm for this block, in the worker.
-    OUT[spec.mult] = np.matmul(S, T)
-    return (spec.mult, "fallback", spec.retries + 1, error_text, start,
-            time.perf_counter(), delays)
+    gemm = _job_gemm(_task_algorithm(spec.algorithm), spec.lam, spec.steps,
+                     np.matmul)
+    if spec.inject is not None:
+        gemm = GemmFaultInjector(gemm, _INJECT[spec.inject])
+    block, *outcome = _run_job(spec.mult, operands, gemm, spec.retries,
+                               spec.check_finite, BackoffPolicy(*spec.backoff))
+    OUT[spec.mult] = block
+    return tuple(outcome)
 
 
 # ---------------------------------------------------------------------
@@ -370,12 +336,23 @@ def _algorithm_ref(algorithm: Any) -> Any:
     return ("object", algorithm)
 
 
+def _padded(seg: Any, shape: tuple[int, int], X: np.ndarray) -> np.ndarray:
+    """``X`` zero-padded to ``shape`` in segment ``seg``."""
+    P = seg.view(shape, X.dtype)
+    rows, cols = X.shape
+    P[:rows, :cols] = X
+    P[rows:, :] = 0
+    P[:rows, cols:] = 0
+    return P
+
+
 def _process_matmul_impl(
     A: np.ndarray,
     B: np.ndarray,
     algorithm: Any,
     workers: int,
     lam: float | None = None,
+    d: int | None = None,
     strategy: str = "hybrid",
     schedule: Schedule | None = None,
     steps: int = 1,
@@ -390,244 +367,159 @@ def _process_matmul_impl(
     Reached as ``engine.matmul(A, B, alg, executor="process",
     threads=workers, ...)``: the process twin of the threaded runner —
     same knobs minus ``gemm`` (a custom gemm cannot cross the process
-    boundary), same failure ladder, bit-identical results.  Only
-    :mod:`repro.core.engine` may call this (staticcheck ENG001 enforces
-    it); everything else goes through the engine so tracing, guarding,
-    and config resolution stay layered at one point.
+    boundary), same preamble and per-job attempt ladder, bit-identical
+    results.  Only :mod:`repro.core.engine` may call this (staticcheck
+    ENG001 enforces it); everything else goes through the engine so
+    tracing, guarding, and config resolution stay layered at one point.
+    ``ExecutionConfig`` has already validated ``workers``, ``steps``,
+    ``retries`` and ``timeout``.
     """
-    if algorithm.is_surrogate:
-        raise ValueError(
-            f"{algorithm.name!r} is a metadata surrogate; real process "
-            "execution needs full coefficients (use the simulator for it)"
-        )
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
-
-    from repro.core.lam import optimal_lambda, precision_bits
-
-    A, B = plannable(A, B)
-    dtype = A.dtype
-    if lam is None:
-        d = precision_bits(dtype) if dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d, steps=steps)
-
+    A, B, lam, plan, schedule = _prepare(
+        A, B, algorithm, lam, d, steps, plan_cache, schedule, strategy,
+        workers, "process")
     # Metadata-only plan use (schedule, partition, term lists): blocks
     # live in shared memory, not the plan's arenas, so no workspace is
-    # checked out.  The key matches the threaded path on purpose — both
-    # executors share one plan per (shape, dtype, lam, schedule
-    # geometry).  A custom schedule is not part of the key, so it runs
-    # on an uncached plan.
-    plan = acquire_plan(
-        False if schedule is not None else plan_cache, algorithm,
-        A.shape[0], A.shape[1], B.shape[1], dtype, lam, steps=steps,
-        mode="threaded", strategy=strategy, threads=workers)
-    if schedule is None:
-        schedule = plan.schedule
+    # checked out.
+    dtype = A.dtype
     part = plan.partition
     m, n, k = algorithm.m, algorithm.n, algorithm.k
     r = plan.rank
-
-    Mp = part.padded_rows_a
-    Np = part.padded_cols_a
-    Kp = part.padded_cols_b
-    bm, bk = Mp // m, Kp // k
-    itemsize = dtype.itemsize
-
-    a_seg = acquire_segment(Mp * Np * itemsize)
-    b_seg = acquire_segment(Np * Kp * itemsize)
-    out_seg = acquire_segment(r * bm * bk * itemsize)
+    Mp, Np, Kp = part.padded_rows_a, part.padded_cols_a, part.padded_cols_b
+    # Padded A, padded B, and the r product blocks.
+    shapes = ((Mp, Np), (Np, Kp), (r, Mp // m, Kp // k))
+    segs = [acquire_segment(math.prod(shape) * dtype.itemsize)
+            for shape in shapes]
+    segments = tuple((seg.name, shape) for seg, shape in zip(segs, shapes))
     pooled = True
 
-    tracer = _obs_tracer.ACTIVE
-    outer_span = None
-    if tracer is not None:
-        outer_span = tracer.span(
-            "process_apa_matmul", cat="parallel",
-            algorithm=algorithm.name, workers=workers, strategy=strategy,
-            shape=f"{tuple(A.shape)}@{tuple(B.shape)}", steps=steps)
-        outer_span.__enter__()
+    policy = getattr(report, "backoff", None) or DEFAULT_BACKOFF
+    alg_ref = _algorithm_ref(algorithm) if steps > 1 else None
+
+    def make_spec(i: int, inject: str | None) -> _TaskSpec:
+        return _TaskSpec(
+            mult=i, segments=segments, dtype=dtype.str, dims=(m, n, k),
+            s_sum=plan.program.s[i], t_sum=plan.program.t[i],
+            algorithm=alg_ref, lam=float(lam), steps=steps,
+            retries=retries, check_finite=check_finite,
+            backoff=(policy.base, policy.cap, policy.multiplier,
+                     policy.seed),
+            inject=inject)
+
+    def resubmit(i: int) -> tuple[tuple | None, int]:
+        """Parent-side ladder after a crash: backoff → respawn →
+        resubmit, up to ``retries`` extra attempts."""
+        backoff = policy.sequence(key=i)
+        for attempt in range(1, retries + 1):
+            delay = backoff.wait()
+            if report is not None:
+                report.backoff_delays.append(delay)
+            _emit(report, "backoff", i, f"slept {delay * 1e3:.3f} ms "
+                  "before respawned retry", attempt=attempt)
+            _emit(report, "retry", i, f"attempt {attempt + 1} of "
+                  f"{retries + 1}", attempt=attempt)
+            fresh = get_process_pool(workers)
+            try:
+                fut = fresh.submit(_run_task, make_spec(i, None))
+                return fut.result(timeout=timeout), attempt
+            except Exception as exc:
+                # Crash, timeout, or a worker-raised error — any of
+                # them burns this rung of the ladder; exhaustion
+                # means the caller's classical fallback.
+                _drop_broken_pool()
+                _emit(report, "worker-crash", i,
+                      f"{type(exc).__name__}: {exc}", attempt=attempt + 1)
+        return None, retries
+
+    tasks_counter = default_registry().counter(
+        "repro_process_tasks_total",
+        "sub-multiplications dispatched to worker processes")
+
     try:
-        Ap = a_seg.view((Mp, Np), dtype)
-        Ap[:A.shape[0], :A.shape[1]] = A
-        if Mp > A.shape[0]:
-            Ap[A.shape[0]:, :] = 0
-        if Np > A.shape[1]:
-            Ap[:A.shape[0], A.shape[1]:] = 0
-        Bp = b_seg.view((Np, Kp), dtype)
-        Bp[:B.shape[0], :B.shape[1]] = B
-        if Np > B.shape[0]:
-            Bp[B.shape[0]:, :] = 0
-        if Kp > B.shape[1]:
-            Bp[:B.shape[0], B.shape[1]:] = 0
-        OUT = out_seg.view((r, bm, bk), dtype)
-        a_blocks = block_views(Ap, m, n)
-        b_blocks = block_views(Bp, n, k)
+        with _call_span("process_apa_matmul", algorithm, A, B, steps,
+                        workers=workers, strategy=strategy):
+            a_blocks = block_views(_padded(segs[0], shapes[0], A), m, n)
+            b_blocks = block_views(_padded(segs[1], shapes[1], B), n, k)
+            OUT = segs[2].view(shapes[2], dtype)
 
-        def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-            return (combine(plan.program.s[i], a_blocks),
-                    combine(plan.program.t[i], b_blocks))
+            def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
+                return (combine(plan.program.s[i], a_blocks),
+                        combine(plan.program.t[i], b_blocks))
 
-        def record(outcome: JobOutcome) -> None:
-            if report is not None:
-                report.jobs.append(outcome)
+            products: dict[int, np.ndarray] = {}
+            pool = get_process_pool(workers)
+            for phase in schedule.phases:
+                t0 = time.perf_counter()
+                pending: list[tuple[int, Any]] = []
+                for mult, _ in phase.jobs:
+                    spec = make_spec(mult, _TEST_INJECT)
+                    tasks_counter.inc()
+                    try:
+                        fut = pool.submit(_run_task, spec)
+                    except (BrokenProcessPool, RuntimeError, OSError):
+                        # The pool died between phases (or was shut
+                        # down under us), or a worker spawn failed;
+                        # rebuild once and resubmit.
+                        _drop_broken_pool()
+                        pool = get_process_pool(workers)
+                        fut = pool.submit(_run_task, spec)
+                    pending.append((mult, fut))
+                for mult, fut in pending:
+                    crash_attempts = 0
+                    try:
+                        outcome = fut.result(timeout=timeout)
+                    except FutureTimeoutError:
+                        # The worker is alive but late: its mapping
+                        # stays valid, so condemn the segments and never
+                        # pool them — the straggler's write lands in
+                        # orphaned memory, not in a future call's blocks.
+                        pooled = False
+                        fut.cancel()
+                        products[mult] = _rescue(
+                            report, mult, operands, "worker-timeout",
+                            f"no result within {timeout}s; classical gemm "
+                            "recomputed the block in the parent",
+                            "timeout-fallback", 1, t0,
+                            f"timeout after {timeout}s")
+                        continue
+                    except BrokenProcessPool as exc:
+                        pooled = False
+                        _emit(report, "worker-crash", mult,
+                              f"{type(exc).__name__}: {exc}", attempt=1)
+                        _drop_broken_pool()
+                        pool = get_process_pool(workers)
+                        outcome, crash_attempts = resubmit(mult)
+                        if outcome is None:
+                            products[mult] = _rescue(
+                                report, mult, operands, "job-fallback",
+                                "classical gemm recomputed the block in "
+                                "the parent after worker crashes",
+                                "fallback", crash_attempts + 1, t0,
+                                "worker process crashed")
+                            continue
+                    except Exception as exc:
+                        # A worker raised outside its attempt ladder
+                        # (segment attach failure, closed mapping, bad
+                        # spec).  The contract is that the parent always
+                        # has a classical answer: condemn the segments
+                        # and recompute the block here.
+                        pooled = False
+                        error = f"{type(exc).__name__}: {exc}"
+                        products[mult] = _rescue(
+                            report, mult, operands, "worker-error",
+                            f"{error}; classical gemm recomputed the "
+                            "block in the parent", "fallback", 1, t0,
+                            error)
+                        continue
+                    status, attempts, *rest = outcome
+                    if crash_attempts:
+                        status, attempts = "retried", attempts + crash_attempts
+                    _record(report, mult, status, attempts, *rest)
+                    products[mult] = OUT[mult]
 
-        def emit(kind: str, mult: int, detail: str,
-                 attempt: int = 0) -> None:
-            if report is not None:
-                report.events.emit(kind, f"mult {mult}", detail,
-                                   attempt=attempt)
-
-        policy = (report.backoff if report is not None
-                  and report.backoff is not None else DEFAULT_BACKOFF)
-        alg_ref = _algorithm_ref(algorithm) if steps > 1 else None
-
-        def make_spec(i: int, inject: str | None) -> _TaskSpec:
-            return _TaskSpec(
-                mult=i, a_name=a_seg.name, b_name=b_seg.name,
-                out_name=out_seg.name, a_shape=(Mp, Np),
-                b_shape=(Np, Kp), out_shape=(r, bm, bk), dtype=dtype.str,
-                m=m, n=n, k=k,
-                s_sum=plan.program.s[i], t_sum=plan.program.t[i],
-                algorithm=alg_ref, lam=float(lam), steps=steps,
-                retries=retries, check_finite=check_finite,
-                backoff=(policy.base, policy.cap, policy.multiplier,
-                         policy.seed),
-                inject=inject)
-
-        def resubmit(i: int) -> tuple[tuple | None, int]:
-            """Parent-side ladder after a crash: backoff → respawn →
-            resubmit, up to ``retries`` extra attempts."""
-            backoff = None
-            for attempt in range(1, retries + 1):
-                if backoff is None:
-                    backoff = policy.sequence(key=i)
-                delay = backoff.wait()
-                if report is not None:
-                    report.backoff_delays.append(delay)
-                emit("backoff", i, f"slept {delay * 1e3:.3f} ms before "
-                     "respawned retry", attempt=attempt)
-                emit("retry", i, f"attempt {attempt + 1} of "
-                     f"{retries + 1}", attempt=attempt)
-                fresh = get_process_pool(workers)
-                try:
-                    fut = fresh.submit(_run_task, make_spec(i, None))
-                    return fut.result(timeout=timeout), attempt
-                except Exception as exc:
-                    # Crash, timeout, or a worker-raised error — any of
-                    # them burns this rung of the ladder; exhaustion
-                    # means the caller's classical fallback.
-                    _drop_broken_pool()
-                    emit("worker-crash", i,
-                         f"{type(exc).__name__}: {exc}",
-                         attempt=attempt + 1)
-            return None, retries
-
-        tasks_counter = default_registry().counter(
-            "repro_process_tasks_total",
-            "sub-multiplications dispatched to worker processes")
-
-        products: dict[int, np.ndarray] = {}
-        pool = get_process_pool(workers)
-        for phase in schedule.phases:
-            t0 = time.perf_counter()
-            pending: list[tuple[int, Any]] = []
-            for mult, _ in phase.jobs:
-                spec = make_spec(mult, _TEST_INJECT)
-                tasks_counter.inc()
-                try:
-                    fut = pool.submit(_run_task, spec)
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    # The pool died between phases (or was shut down
-                    # under us), or a worker spawn failed; rebuild once
-                    # and resubmit.
-                    _drop_broken_pool()
-                    pool = get_process_pool(workers)
-                    fut = pool.submit(_run_task, spec)
-                pending.append((mult, fut))
-            for mult, fut in pending:
-                crash_attempts = 0
-                try:
-                    outcome = fut.result(timeout=timeout)
-                except FutureTimeoutError:
-                    # The worker is alive but late: its mapping stays
-                    # valid, so condemn the segments and never pool
-                    # them — the straggler's write lands in orphaned
-                    # memory, not in a future call's blocks.
-                    pooled = False
-                    fut.cancel()
-                    emit("worker-timeout", mult,
-                         f"no result within {timeout}s; classical gemm "
-                         "recomputed the block in the parent")
-                    products[mult] = np.matmul(*operands(mult))
-                    record(JobOutcome(
-                        mult, "timeout-fallback", 1, t0,
-                        time.perf_counter(),
-                        error=f"timeout after {timeout}s"))
-                    continue
-                except BrokenProcessPool as exc:
-                    pooled = False
-                    emit("worker-crash", mult,
-                         f"{type(exc).__name__}: {exc}", attempt=1)
-                    _drop_broken_pool()
-                    pool = get_process_pool(workers)
-                    outcome, crash_attempts = resubmit(mult)
-                except Exception as exc:
-                    # A worker raised outside its retry loop (segment
-                    # attach failure, closed mapping, bad spec).  The
-                    # contract is that the parent always has a
-                    # classical answer: condemn the segments and
-                    # recompute the block here.
-                    pooled = False
-                    emit("worker-error", mult,
-                         f"{type(exc).__name__}: {exc}; classical gemm "
-                         "recomputed the block in the parent")
-                    products[mult] = np.matmul(*operands(mult))
-                    record(JobOutcome(
-                        mult, "fallback", 1, t0, time.perf_counter(),
-                        error=f"{type(exc).__name__}: {exc}"))
-                    continue
-                if outcome is None:
-                    emit("job-fallback", mult,
-                         "classical gemm recomputed the block in the "
-                         "parent after worker crashes")
-                    products[mult] = np.matmul(*operands(mult))
-                    record(JobOutcome(
-                        mult, "fallback", crash_attempts + 1, t0,
-                        time.perf_counter(),
-                        error="worker process crashed"))
-                    continue
-                (i, status, attempts, err, t_start, t_end,
-                 delays) = outcome
-                if crash_attempts:
-                    status = "retried"
-                    attempts += crash_attempts
-                if report is not None:
-                    report.backoff_delays.extend(delays)
-                if status == "fallback":
-                    emit("job-fallback", i, "classical gemm recomputed "
-                         "the block in the worker")
-                elif status == "retried":
-                    emit("retry", i, f"succeeded after {attempts} "
-                         "attempts", attempt=attempts)
-                products[i] = OUT[i]
-                record(JobOutcome(i, status, attempts, t_start, t_end,
-                                  error=err))
-
-        C = np.empty((Mp, Kp), dtype=dtype)
-        accumulate(plan.program, [products[i] for i in range(r)],
-                   block_views(C, m, k))
-        return np.ascontiguousarray(part.crop(C))
+            C = np.empty((Mp, Kp), dtype=dtype)
+            accumulate(plan.program, [products[i] for i in range(r)],
+                       block_views(C, m, k))
+            return np.ascontiguousarray(part.crop(C))
     finally:
-        if outer_span is not None:
-            outer_span.__exit__(None, None, None)
-        release_segment(a_seg, pooled=pooled)
-        release_segment(b_seg, pooled=pooled)
-        release_segment(out_seg, pooled=pooled)
+        for seg in segs:
+            release_segment(seg, pooled=pooled)

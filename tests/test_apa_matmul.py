@@ -83,6 +83,21 @@ class TestOperandDtypes:
         assert C.dtype == np.float64
         assert np.array_equal(C, apa_matmul(A.astype(np.float64), B, alg))
 
+    def test_complex64_default_lambda_uses_single_precision(self, rng):
+        """complex64 computes at 23 bits: the default lambda must be the
+        float32 one, not the float64 one (relative error ~8 there)."""
+        X = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        Y = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        X, Y = X.astype(np.complex64), Y.astype(np.complex64)
+
+        def rel_error(P, Q):
+            ref = P.astype(np.complex128) @ Q.astype(np.complex128)
+            C = apa_matmul(P, Q, "bini322")
+            return np.linalg.norm(C - ref) / np.linalg.norm(ref)
+
+        real_error = rel_error(X.real.copy(), Y.real.copy())
+        assert rel_error(X, Y) <= 10 * real_error
+
 
 class TestExactness:
     @pytest.mark.parametrize("name", ["strassen222", "winograd222",

@@ -21,6 +21,10 @@ class TestPrecisionBits:
         assert precision_bits(np.float16) == 10
         assert precision_bits("float32") == 23
 
+    def test_complex_dtypes_use_their_component_precision(self):
+        assert precision_bits(np.complex64) == 23
+        assert precision_bits(np.complex128) == 52
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             precision_bits(np.int32)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestBitIdentity:
         ref = np.stack([apa_matmul(A[i], B[i], alg) for i in range(3)])
         assert np.array_equal(C, ref)
 
+    @pytest.mark.parametrize("runner", [{}, {"executor": "process"}],
+                             ids=["thread", "process"])
+    def test_precision_d_is_honoured(self, runner, rng):
+        """``d`` picks the default lambda on the scheduled runners too."""
+        alg = get_algorithm("bini322")
+        A = rng.random((36, 36)).astype(np.float32)
+        B = rng.random((36, 36)).astype(np.float32)
+        C = ENGINE.matmul(A, B, alg, d=10, threads=2, **runner)
+        assert np.array_equal(C, ENGINE.matmul(A, B, alg, d=10))
+        assert not np.array_equal(C, ENGINE.matmul(A, B, alg, threads=2,
+                                                   **runner))
+
     def test_report_populated(self, rng):
         alg = get_algorithm("strassen222")
         report = ExecutionReport()
@@ -157,6 +170,42 @@ class TestFailureRecovery:
         assert np.array_equal(C, apa_matmul(A, B, alg))
         assert {j.status for j in report.jobs} == {"retried"}
         assert report.backoff_delays  # workers reported their sleeps
+
+    def test_one_time_fault_gives_the_same_events_on_both_executors(
+            self, rng, monkeypatch):
+        """A gemm that fails once per job leaves the same per-attempt
+        events in the report whether the jobs run on threads or on
+        worker processes."""
+        alg = get_algorithm("strassen222")
+        A, B = rng.random((16, 16)), rng.random((16, 16))
+        failed: set[bytes] = set()
+        lock = threading.Lock()
+
+        def fail_first_attempt(S, T):
+            key = S.tobytes() + T.tobytes()
+            with lock:
+                first = key not in failed
+                failed.add(key)
+            if first:
+                raise RuntimeError("injected gemm fault")
+            return np.matmul(S, T)
+
+        kinds = ("worker-error", "backoff", "retry", "job-fallback")
+        thread = ExecutionReport()
+        ENGINE.matmul(A, B, alg, threads=2, retries=1,
+                      gemm=fail_first_attempt, report=thread)
+        monkeypatch.setattr("repro.parallel.procpool._TEST_INJECT",
+                            "raise-once")
+        proc = ExecutionReport()
+        ENGINE.matmul(A, B, alg, executor="process", threads=2, retries=1,
+                      report=proc)
+        counts = [{k: r.events.count(k) for k in kinds}
+                  for r in (thread, proc)]
+        assert counts[0] == counts[1] == {
+            "worker-error": alg.rank, "backoff": alg.rank,
+            "retry": alg.rank, "job-fallback": 0}
+        assert ({j.status for j in thread.jobs}
+                == {j.status for j in proc.jobs} == {"retried"})
 
     def test_persistent_raise_falls_back_in_worker(self, rng, monkeypatch):
         monkeypatch.setattr("repro.parallel.procpool._TEST_INJECT", "raise")
