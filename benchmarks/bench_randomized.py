@@ -1,6 +1,6 @@
-"""Randomized-stage benchmark: error-variance stabilization gates.
+"""Randomized-layer benchmark: error-variance stabilization gates.
 
-Guards the randomized signed-permutation stage with three gates,
+Guards the randomized signed-permutation layer with three gates,
 written to ``benchmarks/out/BENCH_randomized.json``:
 
 1. **variance reduction** — over an ensemble of band-aligned operand

@@ -1,10 +1,7 @@
 """Guarded matmul execution: health checks + escalation + circuit breaker.
 
-This is the engine of the ``guard`` stage
-(:class:`repro.backends.stages.GuardStage`); it moved here from
-``repro.robustness.guard`` when the backend layer became a composable
-stack — that module re-exports everything, so existing imports keep
-working unchanged.
+This is the outer layer of :class:`repro.backends.stack.BackendStack`
+(``guarded=True``); ``repro.robustness`` re-exports its public names.
 
 An APA product is only *probably* accurate: a mis-tuned lambda, an
 ill-conditioned operand, or a failed worker can push its error orders of

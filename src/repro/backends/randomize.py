@@ -22,7 +22,7 @@ signed permutation is O(n²) copies and bit-exact, which is why it can
 default on without touching the identity guarantees of everything
 downstream.
 
-Draws are seeded and counted: call ``k`` of a stage uses
+Draws are seeded and counted: call ``k`` of a stack uses
 ``SeedSequence(entropy=seed, spawn_key=(k,))``, so a fixed seed gives a
 reproducible *stream* of transforms (fresh randomness per call — reusing
 one permutation would just relabel the worst case) while two stacks

@@ -1,92 +1,141 @@
-"""``BackendStack``: compose stages over a terminal backend.
+"""``BackendStack``: the guard over the randomized transform over the engine.
 
-The stack is the one composition point for everything that wraps a
-matmul.  Construction walks the stages innermost-to-outermost, handing
-each the callable produced so far:
+The stack is the one place a matmul product gets wrapped.  It composes
+at most two layers over a terminal backend, always in this order::
 
-```
-guard( randomized( trace( target.matmul ) ) )
-```
+    guard( randomized( target.matmul ) )
 
-An **empty** stack is exactly the target — no wrapper frames, no
-behavior change.
+- **randomized** (``randomized=True``): every call takes the next draw
+  of the seeded signed-permutation stream (Malik & Becker,
+  arXiv 1905.07439) under the stack's lock, transforms the operands,
+  and opens one ``backend-stack`` span when a tracer is installed.
+- **guard** (``guarded=True``): a
+  :class:`~repro.backends.guard.GuardedBackend` outermost, so its
+  residual probe checks the product the caller receives — with
+  randomization active, the probe sees the randomized product.
+
+A stack with neither knob is exactly the target.  Fault injection
+(``fault=``) is not a layer: faults model failures inside the
+recursion, so the terminal backend wraps its base-case gemm in a
+:class:`~repro.robustness.inject.GemmFaultInjector`.
+:meth:`BackendStack.error_bound` still folds the fault into the §2.3
+budget.
 
 Stacks satisfy the :class:`~repro.core.backend.MatmulBackend` protocol
 (``name`` + ``matmul``), so they drop into ``Dense`` layers, the serve
-worker pool, and anywhere else a backend goes.  They also aggregate
-the stage contracts: :meth:`error_bound` folds the §2.3 budget through
-every stage innermost-first, and :meth:`plan_key` concatenates stage
-contributions so caches and coalescers can tell staged configs apart.
+worker pool, and anywhere else a backend goes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import threading
+from typing import Any
 
 import numpy as np
 
-from repro.backends.base import BackendStage, StageContext
-from repro.backends.registry import build_stages
+from repro.backends.guard import GuardedBackend
+from repro.backends.randomize import apply_signed_permutation
+from repro.obs import tracer as _obs_tracer
 
 __all__ = ["BackendStack"]
 
 
+class _StageTarget:
+    """Backend-protocol adapter handed to :class:`GuardedBackend`.
+
+    The guard needs an *object* with ``matmul`` plus the live execution
+    knobs (``lam``/``steps``/``gemm``/``algorithm``/``name``): it reads
+    them to size thresholds and writes recovered values back through
+    them.  ``matmul`` is the below-guard callable; every other
+    attribute proxies to the stack's terminal backend, so escalation
+    write-backs land on the live knobs.
+    """
+
+    __slots__ = ("_fn", "_target")
+
+    def __init__(self, fn: Any, target: Any) -> None:
+        object.__setattr__(self, "_fn", fn)
+        object.__setattr__(self, "_target", target)
+
+    def matmul(self, A, B):
+        return self._fn(A, B)
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names not in __slots__ (and not `matmul`).
+        return getattr(object.__getattribute__(self, "_target"), name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        setattr(object.__getattribute__(self, "_target"), name, value)
+
+
 class BackendStack:
-    """Stages composed over a terminal backend, outermost first.
+    """The guard and randomized layers a config asks for, over ``target``.
 
     Parameters
     ----------
-    stages:
-        :class:`BackendStage` instances in canonical order (outermost
-        first — the order :func:`repro.backends.registry.build_stages`
-        returns).
     target:
         The terminal backend: anything with ``matmul`` (an
         :class:`~repro.core.engine.EngineBackend` for engine-built
         stacks).
-    config / engine / log:
-        Recorded into the :class:`StageContext` stages wrap under
-        (``log`` routes stage events — the guard's escalations — into a
-        host-owned ring buffer; ``None`` keeps stage defaults).
+    config:
+        The resolved config; ``guarded``, ``guard_policy``,
+        ``randomized``, ``rand_seed`` and ``fault`` are read.
+    log:
+        Routes the guard's events into a host-owned ring buffer
+        (``None`` keeps the guard's own log).
     """
 
-    def __init__(
-        self,
-        stages: Iterable[BackendStage],
-        target: Any,
-        config: Any = None,
-        engine: Any = None,
-        name: str | None = None,
-        log: Any = None,
-    ) -> None:
-        self.stages: tuple[BackendStage, ...] = tuple(stages)
+    def __init__(self, target: Any, config: Any, log: Any = None) -> None:
         self.target = target
         self.config = config
-        ctx = StageContext(config=config, target=target, engine=engine,
-                           log=log)
+        #: The guard layer's :class:`GuardedBackend`, or ``None``.  For
+        #: guarded stacks its ``matmul`` *is* the stack's (the guard is
+        #: outermost), so the engine hands it out as the backend.
+        self.guard: GuardedBackend | None = None
+        #: Randomized draws taken so far.
+        self.draws = 0
+        self._lock = threading.Lock()
+        layers = ("guard",) * bool(config.guarded)
+        if config.randomized:
+            layers += ("randomized", "trace")
+        target_name = getattr(target, "name", "backend")
         fn = target.matmul
-        for stage in reversed(self.stages):
-            fn = stage.wrap(fn, ctx)
+        if config.randomized:
+            fn = self._randomized(fn, "+".join(layers), target_name)
+        if config.guarded:
+            self.guard = GuardedBackend(_StageTarget(fn, target),
+                                        policy=config.guard_policy, log=log)
+            fn = self.guard.matmul
         self._fn = fn
-        if name is not None:
-            self.name = name
-        elif self.stages:
-            self.name = ("stack:"
-                         + "+".join(s.name for s in self.stages)
-                         + ":" + getattr(target, "name", "backend"))
-        else:
-            self.name = getattr(target, "name", "backend")
+        self.name = (f"stack:{'+'.join(layers)}:{target_name}" if layers
+                     else target_name)
 
-    # ------------------------------------------------------------------
-    # the MatmulBackend surface
-    # ------------------------------------------------------------------
+    def _randomized(self, inner: Any, layers: str, target_name: str) -> Any:
+        """``inner`` behind the seeded signed-permutation transform."""
+        seed = int(self.config.rand_seed or 0)
+        span_args = {"stages": layers, "target": target_name}
+
+        def randomized_matmul(A, B):
+            if A.ndim != 2 or B.ndim != 2:
+                raise ValueError(
+                    "randomized execution supports 2-D products only")
+            with self._lock:
+                draw = self.draws
+                self.draws += 1
+            A2, B2 = apply_signed_permutation(A, B, seed=seed, draw=draw)
+            tracer = _obs_tracer.ACTIVE
+            if tracer is None:
+                return inner(A2, B2)
+            with tracer.span(
+                "backend-stack", cat="backends", **span_args,
+                shape=f"{tuple(A2.shape)}@{tuple(B2.shape)}",
+            ):
+                return inner(A2, B2)
+
+        return randomized_matmul
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self._fn(A, B)
-
-    # ------------------------------------------------------------------
-    # construction & introspection
-    # ------------------------------------------------------------------
+        return self._fn(A, B)  # type: ignore[no-any-return]
 
     @classmethod
     def from_config(cls, config: Any, engine: Any = None,
@@ -95,49 +144,24 @@ class BackendStack:
 
         The terminal backend is an
         :class:`~repro.core.engine.EngineBackend` over ``engine`` (the
-        default engine when ``None``) with the stage knobs stripped —
-        the stack owns them; the terminal must not re-apply them.
+        default engine when ``None``) with the guard and randomized
+        knobs stripped — the stack owns them.
         """
         from repro.core.engine import EngineBackend, default_engine
 
         engine = engine if engine is not None else default_engine()
-        target = EngineBackend(engine, config)
-        return cls(build_stages(config), target, config=config, engine=engine,
-                   log=log)
-
-    def stage(self, name: str) -> BackendStage:
-        """The active stage called ``name`` (KeyError if absent)."""
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(
-            f"stage {name!r} not in stack "
-            f"({', '.join(s.name for s in self.stages) or 'empty'})")
-
-    @property
-    def guard(self) -> Any:
-        """The guard stage's :class:`GuardedBackend`, or ``None``.
-
-        For guarded stacks this object's ``matmul`` *is* the stack's
-        composed callable (the guard is outermost), so the engine hands
-        it out as the backend — callers keep the familiar
-        ``violations``/``fallback_calls``/``breaker`` surface.
-        """
-        for s in self.stages:
-            if s.name == "guard":
-                return s.backend
-        return None
-
-    # ------------------------------------------------------------------
-    # aggregated stage contracts
-    # ------------------------------------------------------------------
+        return cls(EngineBackend(engine, config), config, log=log)
 
     def error_bound(self, inner_bound: float | None = None) -> float:
-        """Fold the §2.3 error budget through every stage.
+        """The §2.3 error budget callers of this stack may assume.
 
         ``inner_bound`` defaults to the terminal backend's own
-        predicted bound when it can state one (an ``algorithm`` with
-        the analysis helpers available), else ``0.0`` (exact gemm).
+        predicted bound when it can state one (a single ``algorithm``),
+        else ``0.0`` (exact gemm).  The guard enforces the bound rather
+        than changing it, and the signed permutation is exact, so only
+        ``fault=`` moves it: ``perturb`` adds its magnitude,
+        ``nan``/``inf``/``raise`` make it infinite, and ``stall`` is
+        slow, not wrong.
         """
         bound = inner_bound
         if bound is None:
@@ -148,16 +172,12 @@ class BackendStack:
 
                 bound = predicted_error_bound(
                     alg, steps=int(getattr(self.target, "steps", 1) or 1))
-        for stage in reversed(self.stages):
-            bound = stage.error_bound(bound, self.config)
-        return bound
-
-    def plan_key(self) -> tuple[Any, ...]:
-        """Concatenated stage contributions to cache/coalescing keys."""
-        return tuple(
-            part for stage in self.stages
-            for part in stage.plan_key(self.config))
+        fault = self.config.fault
+        if fault is None or fault.kind == "stall":
+            return bound
+        if fault.kind == "perturb":
+            return bound + float(fault.magnitude)
+        return float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = " -> ".join(s.name for s in self.stages) or "(empty)"
-        return f"<BackendStack {inner} -> {getattr(self.target, 'name', '?')}>"
+        return f"<BackendStack {self.name}>"

@@ -10,12 +10,15 @@ object those layers share:
   that selects an execution: the algorithm (or per-level algorithm
   tuple for non-stationary recursion), ``lam``, ``steps``, precision
   policy ``d``, base-case ``gemm``, threading (``threads`` /
-  ``strategy`` / ``schedule``), ``plan_cache``, guard policy, fault
-  spec, per-job ``retries`` / ``timeout``, the worker ``executor``
-  and out-of-core ``shard`` geometry, and the ``tuned`` opt-in to the
-  learned dispatch table (:mod:`repro.tune`).  No field names the
-  runner: the engine derives sequential vs threaded vs process
-  execution from these knobs.
+  ``strategy`` / ``schedule``), ``plan_cache``, the backend-stack
+  knobs (``guarded`` / ``guard_policy`` and ``randomized`` /
+  ``rand_seed``, composed in one fixed order by
+  :class:`repro.backends.BackendStack`), fault spec, per-job
+  ``retries`` / ``timeout``, the worker ``executor`` and out-of-core
+  ``shard`` geometry, and the ``tuned`` opt-in to the learned dispatch
+  table (:mod:`repro.tune`).  No field names the runner or a layer:
+  the engine derives sequential vs threaded vs process execution, and
+  the stack its layers, from these knobs.
 - :func:`execution_context` — a process-wide context manager layering
   config overrides under every call that does not set them explicitly.
 - :func:`active_overrides` — the merged override mapping currently in
@@ -52,7 +55,6 @@ from repro.types import GemmFn
 __all__ = [
     "BATCH_MODES",
     "EXECUTORS",
-    "STAGE_NAMES",
     "ExecutionConfig",
     "active_overrides",
     "execution_context",
@@ -65,19 +67,6 @@ BATCH_MODES = ("stacked", "loop")
 #: GIL) or worker processes over shared memory (the combinations scale
 #: too; see :mod:`repro.parallel.procpool`).
 EXECUTORS = ("thread", "process")
-
-#: Backend-stack stage names in canonical composition order (outermost
-#: first).  A literal copy of
-#: :data:`repro.backends.registry.STAGE_ORDER` — config cannot import
-#: the registry (the registry's stages need config-resolved knobs), so
-#: the registry asserts the two stay in sync at import time.
-STAGE_NAMES = ("guard", "randomized", "trace", "inject")
-
-#: Stage names accepted in ``ExecutionConfig.stages``.  ``inject`` is
-#: excluded: fault injection acts on the gemm seam inside the terminal
-#: backend and is requested with the ``fault=`` knob — naming it on the
-#: product seam as well would double-inject.
-SETTABLE_STAGES = ("guard", "randomized", "trace")
 
 
 def _validate_shard(shard: Any) -> None:
@@ -138,7 +127,7 @@ class ExecutionConfig:
     #: One of :data:`BATCH_MODES` for 3-D operands.
     batch_mode: str | None = None
     guarded: bool | None = None
-    #: :class:`repro.robustness.guard.GuardPolicy` override.
+    #: :class:`repro.robustness.policy.EscalationPolicy` override.
     guard_policy: Any = None
     #: :class:`repro.robustness.inject.FaultSpec` wrapped around gemm.
     fault: Any = None
@@ -166,16 +155,9 @@ class ExecutionConfig:
     #: the guard is stacked outside, so its residual probe checks the
     #: randomized product.
     randomized: bool | None = None
-    #: Seed of the randomized stage's transform stream (resolved
-    #: default 0; each call draws fresh from the seeded stream).
+    #: Seed of the randomized transform stream (resolved default 0;
+    #: each call draws fresh from the seeded stream).
     rand_seed: int | None = None
-    #: Explicit backend-stack stage names, a subset of
-    #: :data:`SETTABLE_STAGES`.  Sugar equivalences: ``"guard"`` ≡
-    #: ``guarded=True``, ``"randomized"`` ≡ ``randomized=True``;
-    #: ``"trace"`` adds the per-call ``backend-stack`` span on its own.
-    #: Order is irrelevant — composition always follows
-    #: :data:`STAGE_NAMES`.
-    stages: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.tuned is not None and not isinstance(self.tuned, bool):
@@ -217,22 +199,6 @@ class ExecutionConfig:
                 or not isinstance(self.rand_seed, int)):
             raise TypeError(
                 f"rand_seed must be an int, got {self.rand_seed!r}")
-        if self.stages is not None:
-            if isinstance(self.stages, str) or not isinstance(
-                    self.stages, (tuple, list)):
-                raise TypeError(
-                    f"stages must be a tuple of stage names, got "
-                    f"{self.stages!r}")
-            object.__setattr__(self, "stages", tuple(self.stages))
-            unknown = [s for s in self.stages if s not in SETTABLE_STAGES]
-            if unknown:
-                raise ValueError(
-                    f"unknown stage name(s) {unknown!r}; expected a subset "
-                    f"of {SETTABLE_STAGES} (fault injection is requested "
-                    f"with the fault= knob)")
-            if len(set(self.stages)) != len(self.stages):
-                raise ValueError(
-                    f"duplicate stage names in {self.stages!r}")
         self._check_combinations()
 
     def _check_combinations(self) -> None:
@@ -253,19 +219,6 @@ class ExecutionConfig:
             raise ValueError(
                 "randomized=True transforms in-memory operands; the "
                 "sharded out-of-core path cannot compose with it")
-        if self.stages:
-            if "guard" in self.stages and self.guarded is False:
-                raise ValueError(
-                    "stages names 'guard' but guarded=False; drop one "
-                    "(they are two spellings of the same stage)")
-            if "randomized" in self.stages and self.randomized is False:
-                raise ValueError(
-                    "stages names 'randomized' but randomized=False; drop "
-                    "one (they are two spellings of the same stage)")
-            if "randomized" in self.stages and self.shard is not None:
-                raise ValueError(
-                    "randomized stage transforms in-memory operands; the "
-                    "sharded out-of-core path cannot compose with it")
 
     # -- merge helpers -------------------------------------------------
 

@@ -10,16 +10,17 @@ layers) and :func:`repro.shard.shard_matmul`.  All of them go through
 one :class:`ExecutionEngine` that resolves an
 :class:`~repro.core.config.ExecutionConfig` into a layered stack::
 
+    stack    cached BackendStack: GuardedBackend over the seeded
+             signed-permutation transform  (config.guarded / .randomized)
+      ↓
     inject   wrap gemm in a seeded GemmFaultInjector   (config.fault)
-      ↓
-    guard    GuardedBackend health checks + escalation (config.guarded)
-      ↓
-    trace    one "apa_matmul" span when a tracer is on (obs layer)
       ↓
     dispatch → plan | threaded | process | shard | batched
                | non-stationary | surrogate | classical gemm
                (``tuned=True`` first fills unset algorithm/steps/executor
-               from the learned dispatch table — :mod:`repro.tune`)
+               from the learned dispatch table — :mod:`repro.tune`;
+               the sequential plan opens one "apa_matmul" span when a
+               tracer is on)
 
 The private implementations (``_apa_matmul_impl``, ``_threaded_matmul_impl``,
 ``_batched_matmul_impl``, ``_process_matmul_impl``,
@@ -152,10 +153,10 @@ class EngineBackend:
     def __init__(self, engine: "ExecutionEngine",
                  config: ExecutionConfig) -> None:
         # Strip every stack-owned knob: this is the stack's *terminal*
-        # backend, so guard/randomized/trace are applied above it and
-        # must not be re-applied inside.
+        # backend, so the guard and randomized layers are applied above
+        # it and must not be re-applied inside.
         cfg = config.replace(guarded=None, guard_policy=None,
-                             randomized=None, rand_seed=None, stages=None)
+                             randomized=None, rand_seed=None)
         alg = cfg.algorithm
         if isinstance(alg, (tuple, list)):
             alg = tuple(_resolve_algorithm(a) for a in alg)
@@ -163,15 +164,15 @@ class EngineBackend:
             alg = _resolve_algorithm(alg)
         cfg = cfg.replace(algorithm=alg)
         if cfg.fault is not None:
-            # Materialize the injector once via the inject stage's gemm
-            # seam: persistent across calls (its call counter and
-            # ``active`` switch live on ``self.gemm``), and visible to
-            # the guard's recompute via the gemm attribute.
-            from repro.backends.stages import InjectStage
+            # Materialize the injector once: persistent across calls
+            # (its call counter and ``active`` switch live on
+            # ``self.gemm``), and visible to the guard's recompute via
+            # the gemm attribute.
+            from repro.robustness.inject import GemmFaultInjector
 
             cfg = cfg.replace(
                 fault=None,
-                gemm=InjectStage(config).wrap_gemm(cfg.gemm))
+                gemm=GemmFaultInjector(gemm=cfg.gemm, spec=cfg.fault))
         self._engine = engine
         self._cfg = cfg
         #: The resolved algorithm — a tuple for non-stationary configs
@@ -202,7 +203,7 @@ class EngineBackend:
         if active_overrides() is not None:
             cfg = self._engine.resolve(base).replace(
                 guarded=None, guard_policy=None,
-                randomized=None, rand_seed=None, stages=None)
+                randomized=None, rand_seed=None)
         changes: dict[str, Any] = {}
         if self.lam is not None and self.lam != base.lam:
             changes["lam"] = self.lam
@@ -371,18 +372,18 @@ class ExecutionEngine:
                 **overrides: Any) -> Any:
         """A reusable :class:`MatmulBackend` for the resolved config.
 
-        Staged configs (``guarded`` / ``randomized`` / ``stages``)
-        return the engine's cached stack — escalation, breaker, and
-        randomized-draw state persist across calls.  Guarded stacks
-        hand back the :class:`~repro.backends.guard.GuardedBackend`
-        itself (the guard is outermost, so its ``matmul`` *is* the
-        composed stack) to keep the familiar
-        ``violations``/``fallback_calls`` surface; everything else gets
-        the :class:`~repro.backends.stack.BackendStack`, or a fresh
-        :class:`EngineBackend` when no stage is active.
+        Guarded or randomized configs return the engine's cached
+        stack — escalation, breaker, and randomized-draw state persist
+        across calls.  Guarded stacks hand back the
+        :class:`~repro.backends.guard.GuardedBackend` itself (the guard
+        is outermost, so its ``matmul`` *is* the composed stack) to keep
+        the familiar ``violations``/``fallback_calls`` surface; a
+        randomized-only config gets the
+        :class:`~repro.backends.stack.BackendStack`, and any other
+        config a fresh :class:`EngineBackend`.
         """
         cfg = self.resolve(config, **overrides)
-        if cfg.guarded or cfg.randomized or cfg.stages:
+        if cfg.guarded or cfg.randomized:
             stack = self._stack_for(cfg)
             guard = stack.guard
             return guard if guard is not None else stack
@@ -456,8 +457,9 @@ class ExecutionEngine:
 
     def _run(self, A: np.ndarray, B: np.ndarray, cfg: ExecutionConfig,
              report: Any = None) -> np.ndarray:
-        """Stack layer: route staged configs through their cached stack."""
-        if cfg.guarded or cfg.randomized or cfg.stages:
+        """Stack layer: route guarded/randomized configs through their
+        cached stack."""
+        if cfg.guarded or cfg.randomized:
             if report is not None:
                 if cfg.guarded:
                     raise ValueError(
@@ -465,17 +467,15 @@ class ExecutionEngine:
                         "guarded path; guard events land in the backend's "
                         "EventLog")
                 raise ValueError(
-                    "report capture is not supported through the staged "
-                    "path; drop stages/randomized or capture spans via "
-                    "the tracer")
-            if cfg.guarded or cfg.randomized or "randomized" in (
-                    cfg.stages or ()):
-                if getattr(A, "ndim", 2) != 2 or getattr(B, "ndim", 2) != 2:
-                    if cfg.guarded:
-                        raise ValueError(
-                            "guarded execution supports 2-D products only")
+                    "report capture is not supported through the "
+                    "randomized path; drop randomized or capture spans "
+                    "via the tracer")
+            if getattr(A, "ndim", 2) != 2 or getattr(B, "ndim", 2) != 2:
+                if cfg.guarded:
                     raise ValueError(
-                        "randomized execution supports 2-D products only")
+                        "guarded execution supports 2-D products only")
+                raise ValueError(
+                    "randomized execution supports 2-D products only")
             stack = self._stack_for(cfg)
             return stack.matmul(A, B)  # type: ignore[no-any-return]
         return self._execute(A, B, cfg, report)
@@ -501,11 +501,10 @@ class ExecutionEngine:
             alg = _resolve_algorithm(alg)
         gemm = cfg.gemm
         if cfg.fault is not None:
-            # The inject stage acts on the gemm seam: a fresh injector
-            # per call, exactly like the pre-stack code built inline.
-            from repro.backends.stages import InjectStage
+            # Faults act on the gemm seam: a fresh injector per call.
+            from repro.robustness.inject import GemmFaultInjector
 
-            gemm = InjectStage(cfg).wrap_gemm(gemm)
+            gemm = GemmFaultInjector(gemm=gemm, spec=cfg.fault)
         return self._dispatch(A, B, cfg, alg, gemm, report)
 
     def _dispatch(self, A: np.ndarray, B: np.ndarray, cfg: ExecutionConfig,
@@ -666,7 +665,8 @@ class ExecutionEngine:
     # -- backend-stack instance cache ----------------------------------
 
     def _stack_for(self, cfg: ExecutionConfig) -> Any:
-        """The cached :class:`BackendStack` for one staged config."""
+        """The cached :class:`BackendStack` for one guarded or
+        randomized config."""
         key = _guard_key(cfg)
         with self._stack_lock:
             stack = self._stacks.get(key)

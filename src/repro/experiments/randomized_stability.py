@@ -5,7 +5,7 @@ The error of one APA product is deterministic in its operands, and its
 recursion's block split: a column band of large-magnitude inner indices
 lands in different sub-products depending on its offset, so the error
 of a fleet of such products swings wildly with alignment.  The
-``randomized`` stage (seeded signed permutation of the inner dimension,
+``randomized`` layer (seeded signed permutation of the inner dimension,
 Malik & Becker arXiv 1905.07439) scatters any alignment uniformly on
 every call, which leaves the worst-case §2.3 bound unchanged but
 collapses the error *variance* across the ensemble.

@@ -79,10 +79,10 @@ def run_traced_demo(
     and 3 into two healthy threaded calls.
     """
     from repro.algorithms.catalog import get_algorithm
+    from repro.backends.guard import GuardedBackend
     from repro.core.apa_matmul import apa_matmul
     from repro.core.engine import default_engine
     from repro.core.plan import PlanCache
-    from repro.robustness.guard import GuardedBackend
     from repro.robustness.inject import FaultSpec, faulty_gemm
 
     alg = get_algorithm(algorithm)

@@ -3,7 +3,7 @@
 Before this module the runtime's counters lived behind unrelated stat
 APIs — :meth:`repro.core.plan.PlanCache.stats` and
 :func:`repro.parallel.pool.pool_stats` — plus ad-hoc attributes on
-:class:`~repro.robustness.guard.GuardedBackend`.  The registry gives
+:class:`~repro.backends.guard.GuardedBackend`.  The registry gives
 them one spine: components register named instruments once at import
 time (cheap — an attribute read plus a lock-guarded add per update) and
 :func:`repro.obs.metrics` absorbs the legacy stat APIs into the same

@@ -4,9 +4,10 @@ The APA runtime's central risk is numerical — a product can be wrong
 without anything raising.  This package makes every layer of the stack
 fail *soft*:
 
-- :mod:`~repro.robustness.guard` wraps any matmul backend with cheap
-  per-call health checks and an escalation ladder ending in classical
-  gemm, plus a per-(algorithm, shape-class) circuit breaker;
+- :mod:`~repro.backends.guard` (re-exported here) wraps any matmul
+  backend with cheap per-call health checks and an escalation ladder
+  ending in classical gemm, plus a per-(algorithm, shape-class)
+  circuit breaker;
 - :mod:`~repro.robustness.policy` holds the escalation/breaker knobs;
 - :mod:`~repro.robustness.inject` manufactures deterministic faults
   (NaN/Inf poisoning, perturbation, worker exception, worker stall) so
@@ -23,7 +24,7 @@ from repro.robustness.policy import (
     EscalationPolicy,
     shape_class,
 )
-from repro.robustness.guard import (
+from repro.backends.guard import (
     GuardedBackend,
     HealthReport,
     check_product,

@@ -1,6 +1,6 @@
 """Structured events emitted by the guarded-execution stack.
 
-Every guard rail in the runtime — the :class:`~repro.robustness.guard.
+Every guard rail in the runtime — the :class:`~repro.backends.guard.
 GuardedBackend` health checks, the hardened executor's per-job recovery,
 and the training-loop :class:`~repro.robustness.divergence.DivergenceGuard`
 — reports what it did through the same small record type, so callers can

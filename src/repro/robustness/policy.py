@@ -1,6 +1,6 @@
 """Escalation policy and circuit breaker for guarded execution.
 
-The :class:`~repro.robustness.guard.GuardedBackend` reacts to a failed
+The :class:`~repro.backends.guard.GuardedBackend` reacts to a failed
 health check by escalating through increasingly drastic (and increasingly
 reliable) recovery actions; :class:`EscalationPolicy` holds the knobs.
 A per-(algorithm, shape-class) :class:`CircuitBreaker` remembers chronic

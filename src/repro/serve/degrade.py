@@ -1,6 +1,6 @@
 """Pressure-driven graceful degradation: full APA → ... → shed.
 
-:class:`~repro.robustness.guard.GuardedBackend` escalates on *numerical*
+:class:`~repro.backends.guard.GuardedBackend` escalates on *numerical*
 evidence (a failed health check).  The serving layer needs the same
 ladder shape driven by *load* evidence — queue depth and latency against
 deadlines — because a saturated server that keeps answering slowly is

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends.guard import GuardedBackend
 from repro.core.config import ExecutionConfig
 from repro.core.engine import ExecutionEngine, default_engine
 from repro.obs import metrics as obs_metrics
@@ -58,7 +59,6 @@ from repro.obs.export import render_prometheus
 from repro.obs.registry import default_registry
 from repro.parallel.backoff import BackoffPolicy
 from repro.robustness.events import EventLog
-from repro.robustness.guard import GuardedBackend
 from repro.robustness.policy import CircuitBreaker, shape_class
 from repro.serve.degrade import (DegradationLadder, DegradationLevel,
                                  LadderConfig)
@@ -178,7 +178,7 @@ def _coalesce_key(cfg: ExecutionConfig, A: np.ndarray,
     and ``min_dim`` must be unset (the batched lane has no classical
     small-product shortcut).
     """
-    if (cfg.guarded or cfg.randomized or cfg.stages
+    if (cfg.guarded or cfg.randomized
             or cfg.fault is not None or cfg.gemm is not None
             or cfg.schedule is not None or (cfg.threads or 1) > 1
             or (cfg.steps or 1) > 1
@@ -397,10 +397,10 @@ class APAServer:
         """Server-owned guard per (class, algorithm): its escalation
         events and breaker land in *this* server's ring buffer.
 
-        Built through the backend-stack subsystem so every stage the
-        config activates below the guard (randomized, trace) is in
-        place — the ``stabilized`` error budget's signed-permutation
-        transform runs *inside* the guard's residual probe.
+        Built through :meth:`BackendStack.from_config` so a randomized
+        config keeps its layer below the guard — the ``stabilized``
+        error budget's signed-permutation transform runs *inside* the
+        guard's residual probe.
         """
         key = (qos, _alg_name(cfg))
         guard = self._guards.get(key)
@@ -411,7 +411,7 @@ class APAServer:
                 cfg, engine=self._engine, log=self.log)
             guard = stack.guard
             if guard is None:  # pragma: no cover - guarded cfg guaranteed
-                raise ValueError("config has no guard stage")
+                raise ValueError("config is not guarded")
             self._guards[key] = guard
         return guard
 

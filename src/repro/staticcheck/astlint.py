@@ -447,10 +447,11 @@ def lint_engine_boundary(source: str, path: str = "<string>") -> list[Finding]:
 # wrapper-construction linter (ENG002)
 # ----------------------------------------------------------------------
 
-#: Wrapper classes owned by the ``repro.backends`` stack subsystem.
-#: Constructing one by hand bypasses the canonical stage order, the
-#: stack's plan-key/error-bound contracts, and the config knobs that
-#: activate the same behavior declaratively.
+#: Wrapper classes owned by :class:`repro.backends.stack.BackendStack`.
+#: Constructing one by hand bypasses the stack's fixed guard-over-
+#: randomized composition, its engine-side caching (breaker and
+#: escalation state per config), its fault-aware error bound, and the
+#: config knobs that activate the same behavior declaratively.
 WRAPPER_CLASS_NAMES = frozenset({"GuardedBackend"})
 
 
@@ -463,9 +464,10 @@ def lint_wrapper_construction(source: str,
     """``ENG002`` findings for one module's source text.
 
     Flags every direct construction of a :data:`WRAPPER_CLASS_NAMES`
-    wrapper outside ``repro/backends/`` — stages compose through
+    wrapper outside ``repro/backends/`` — the guard is built by
     :class:`~repro.backends.stack.BackendStack` (or the config knobs
-    ``guarded=`` / ``fault=``), not by hand-nesting wrapper objects.
+    ``guarded=`` / ``randomized=``), not by hand-nesting wrapper
+    objects.
     The sanctioned exceptions carry reasoned inline ignores.
     """
     if _is_backends_module(path):
@@ -490,10 +492,11 @@ def lint_wrapper_construction(source: str,
             "ENG002", Severity.ERROR, f"{path}:{node.lineno}",
             f"constructs wrapper {name!r} directly outside "
             "repro/backends/",
-            detail="compose stages through BackendStack.from_config "
-                   "(or the guarded=/fault= config knobs) so stage "
-                   "order, plan keys, and error-bound folding stay "
-                   "uniform",
+            detail="build the guard through BackendStack.from_config "
+                   "(or the guarded=/randomized= config knobs) so the "
+                   "guard stays outermost over the randomized "
+                   "transform, its breaker state is cached per config, "
+                   "and the stack's error bound counts fault=",
         ))
     unique: dict[tuple[str, str, str], Finding] = {
         (f.rule_id, f.location, f.message): f for f in findings

@@ -121,9 +121,9 @@ _RULE_LIST: tuple[RuleInfo, ...] = (
     RuleInfo("ENG002", Severity.ERROR,
              "direct wrapper construction: the backend wrapper class "
              "GuardedBackend instantiated outside "
-             "repro/backends/ — compose stages through "
-             "BackendStack.from_config or the guarded=/fault= config "
-             "knobs"),
+             "repro/backends/ — build it through "
+             "BackendStack.from_config or the guarded=/randomized= "
+             "config knobs"),
     # -- whole-program async safety -----------------------------------
     RuleInfo("ASY001", Severity.ERROR,
              "blocking wait reachable from a coroutine: time.sleep, "

@@ -165,7 +165,7 @@ class TestMakeBackend:
             apa_backend("nope")
 
     def test_guarded_wraps_and_satisfies_protocol(self, rng):
-        from repro.robustness.guard import GuardedBackend
+        from repro.backends.guard import GuardedBackend
 
         be = ExecutionEngine().backend(algorithm="bini322", guarded=True)
         assert isinstance(be, GuardedBackend)

@@ -1,18 +1,20 @@
-"""The backend-stack subsystem: composition, identity, and the stages.
+"""The backend stack: the fixed guard-over-randomized composition.
 
-Pins the refactor's load-bearing contracts:
+Pins the stack's load-bearing contracts:
 
-- an empty stack and every identity-stage ordering are bit-identical to
-  the bare sequential path (the shim guarantee);
-- the randomized stage is exact in exact arithmetic, deterministic
+- a stack with no active layer, and a guard on a healthy call, are
+  bit-identical to the bare sequential path;
+- ``from_config`` composes the guard over the randomized transform,
+  and the engine caches one stack per config (per ``rand_seed``);
+- the randomized transform is exact in exact arithmetic, deterministic
   under a fixed seed, and composes with the guard;
-- stage selection (sugar knobs vs ``stages=``), canonical ordering, and
-  the plan-key / error-bound aggregation;
+- the error bound counts ``fault=``, and the ``stages=`` knob is gone;
 - the DPS accuracy-optimal Strassen variant's exact growth pin.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -20,16 +22,14 @@ import pytest
 
 from repro.backends import (
     BackendStack,
-    BackendStage,
     GuardedBackend,
-    active_stage_names,
     apply_signed_permutation,
-    build_stages,
-    get_stage,
     signed_permutation,
 )
-from repro.core.config import ExecutionConfig
-from repro.core.engine import ExecutionEngine
+from repro.core.config import ExecutionConfig, execution_context
+from repro.core.engine import EngineBackend, ExecutionEngine, default_engine
+from repro.obs.tracer import Tracer, use_tracer
+from repro.robustness.inject import FaultSpec
 
 
 @pytest.fixture()
@@ -41,127 +41,153 @@ def operands():
 
 
 # ----------------------------------------------------------------------
-# bit-identity: disabled / identity stage orderings == bare sequential path
+# bit-identity: inactive / identity layers == bare sequential path
 # ----------------------------------------------------------------------
 
 
+#: Keyed by the retired ``stages=`` spellings; each runs as its
+#: CHANGELOG successor (see ``_successor``).
 IDENTITY_CONFIGS = [
-    dict(),                                  # no stages at all
+    dict(),                                  # no layers at all
     dict(stages=()),                         # explicitly empty
-    dict(guarded=True),                      # sugar knob
-    dict(stages=("guard",)),                 # named stage
-    dict(stages=("trace",)),                 # pure-observer stage
-    dict(stages=("guard", "trace")),         # both, canonical order
-    dict(guarded=True, stages=("trace",)),   # sugar + named mixed
+    dict(guarded=True),                      # the guard knob
+    dict(stages=("guard",)),                 # -> guarded=True
+    dict(stages=("trace",)),                 # -> an installed tracer
+    dict(stages=("guard", "trace")),         # -> both
+    dict(guarded=True, stages=("trace",)),   # -> both
 ]
+
+
+def _successor(knobs):
+    """``(config kwargs, traced)`` for one retired ``stages=`` spelling:
+    ``"guard"`` → ``guarded=True``, ``"trace"`` → install a tracer."""
+    knobs = dict(knobs)
+    stages = knobs.pop("stages", ())
+    if "guard" in stages:
+        knobs["guarded"] = True
+    return knobs, "trace" in stages
 
 
 @pytest.mark.parametrize("algorithm", ["strassen222", "bini322"])
 @pytest.mark.parametrize("knobs", IDENTITY_CONFIGS,
                          ids=[str(sorted(k.items())) for k in IDENTITY_CONFIGS])
 def test_identity_stacks_bit_identical_to_bare(operands, algorithm, knobs):
-    """Guard (healthy call) and trace (no tracer) change no bits."""
+    """Guard (healthy call) and tracing change no bits."""
     A, B = operands
     bare = ExecutionEngine().matmul(A, B, algorithm=algorithm)
-    staged = ExecutionEngine().matmul(A, B, algorithm=algorithm, **knobs)
+    kwargs, traced = _successor(knobs)
+    with use_tracer(Tracer()) if traced else nullcontext():
+        staged = ExecutionEngine().matmul(A, B, algorithm=algorithm, **kwargs)
     np.testing.assert_array_equal(staged, bare)
 
 
 def test_empty_stack_is_the_target():
-    class Target:
-        name = "t"
-
-        def matmul(self, A, B):
-            return A @ B
-
-    target = Target()
-    stack = BackendStack((), target)
-    assert stack.name == "t"
-    A = np.eye(3)
+    stack = BackendStack.from_config(ExecutionConfig(algorithm="strassen222"))
+    assert isinstance(stack.target, EngineBackend)
+    assert stack.name == stack.target.name == "apa:strassen222"
+    assert stack.guard is None
+    # no layers -> the composed callable IS the target's bound method
+    assert stack._fn.__self__ is stack.target
+    A = np.eye(4)
     np.testing.assert_array_equal(stack.matmul(A, A), A)
-    # no stages -> the composed callable IS the target's bound method
-    assert stack._fn.__self__ is target
 
 
-def test_identity_base_stages_pass_through(operands):
-    """A stack of default BackendStage instances is a no-op wrapper."""
+# ----------------------------------------------------------------------
+# the fixed composition
+# ----------------------------------------------------------------------
+
+
+def test_active_stage_names_canonical_order(operands):
+    """``from_config`` composes the guard over the randomized transform:
+    the guard's inner callable is the randomized one, so the guard's
+    residual probe checks the randomized product."""
     A, B = operands
-
-    class S1(BackendStage):
-        name = "s1"
-
-    class S2(BackendStage):
-        name = "s2"
-
-    class Target:
-        name = "t"
-
-        def matmul(self, X, Y):
-            return X @ Y
-
-    stack = BackendStack((S1(), S2()), Target())
-    np.testing.assert_array_equal(stack.matmul(A, B), A @ B)
-    assert stack.name == "stack:s1+s2:t"
-    assert stack.plan_key() == ("s1", "s2")
-    assert stack.error_bound(0.5) == 0.5
-
-
-# ----------------------------------------------------------------------
-# stage selection and ordering
-# ----------------------------------------------------------------------
-
-
-def test_active_stage_names_canonical_order():
-    assert active_stage_names(ExecutionConfig()) == ()
-    assert active_stage_names(ExecutionConfig(guarded=True)) == ("guard",)
-    # randomized auto-adds trace, and guard stays outermost however
-    # the knobs are spelled
-    assert active_stage_names(
-        ExecutionConfig(randomized=True)) == ("randomized", "trace")
-    assert active_stage_names(
-        ExecutionConfig(randomized=True, guarded=True)
-    ) == ("guard", "randomized", "trace")
-    assert active_stage_names(
-        ExecutionConfig(stages=("trace", "guard"))) == ("guard", "trace")
-    # inject is never selected onto the product seam (gemm-seam only)
-    from repro.robustness.inject import FaultSpec
-
-    cfg = ExecutionConfig(fault=FaultSpec(kind="perturb"))
-    assert "inject" not in active_stage_names(cfg)
+    cfg = ExecutionConfig(algorithm="strassen222", guarded=True,
+                          randomized=True, rand_seed=4)
+    stack = BackendStack.from_config(cfg)
+    assert isinstance(stack.guard, GuardedBackend)
+    assert stack._fn == stack.guard.matmul  # guard outermost
+    below_guard = stack.guard.inner.matmul(A, B)
+    assert stack.draws == 1  # the guard's inner layer drew
+    A2, B2 = apply_signed_permutation(A, B, seed=4, draw=0)
+    np.testing.assert_array_equal(below_guard, stack.target.matmul(A2, B2))
+    # the guard passes a healthy randomized product through unchanged
+    C = stack.matmul(A, B)
+    A2, B2 = apply_signed_permutation(A, B, seed=4, draw=1)
+    np.testing.assert_array_equal(C, stack.target.matmul(A2, B2))
+    assert stack.draws == 2
 
 
 def test_build_stages_matches_names():
-    cfg = ExecutionConfig(guarded=True, randomized=True)
-    stages = build_stages(cfg)
-    assert [s.name for s in stages] == ["guard", "randomized", "trace"]
+    """The stack builds exactly the layers its knobs name; ``fault=``
+    is not a layer (it wraps the terminal backend's gemm)."""
+    def built(**knobs):
+        return BackendStack.from_config(
+            ExecutionConfig(algorithm="strassen222", **knobs))
+
+    assert built(guarded=True).name == "stack:guard:apa:strassen222"
+    assert built(randomized=True).name == (
+        "stack:randomized+trace:apa:strassen222")
+    both = built(guarded=True, randomized=True)
+    assert both.name == "stack:guard+randomized+trace:apa:strassen222"
+    assert built(randomized=True).guard is None
+    faulty = built(guarded=True, fault=FaultSpec(kind="perturb"))
+    assert faulty.name == "stack:guard:apa:strassen222"
+
+
+def _assert_unknown_field(kwargs):
+    """``stages=`` fails loudly by name on every entry path."""
+    with pytest.raises(TypeError, match="stages"):
+        ExecutionConfig(**kwargs)
+    A = np.eye(8)
+    with pytest.raises(TypeError, match="stages"):
+        default_engine().matmul(A, A, "strassen222", **kwargs)
+    with pytest.raises(TypeError, match="stages"):
+        with execution_context(**kwargs):
+            pass  # pragma: no cover
 
 
 def test_unknown_stage_rejected():
-    with pytest.raises(KeyError, match="unknown stage"):
-        get_stage("quantize")
-    with pytest.raises(ValueError, match="unknown stage"):
-        ExecutionConfig(stages=("quantize",))
+    """``stages=`` is no longer a field; ``guarded=``/``randomized=``
+    replace it."""
+    for kwargs in (dict(stages=("quantize",)), dict(stages=("guard",))):
+        _assert_unknown_field(kwargs)
 
 
 def test_stage_knob_conflicts_rejected():
-    with pytest.raises(ValueError):
-        ExecutionConfig(stages=("guard",), guarded=False)
-    with pytest.raises(ValueError):
-        ExecutionConfig(stages=("randomized",), randomized=False)
-    with pytest.raises(TypeError):
-        ExecutionConfig(stages="guard")  # a bare string is a footgun
+    """What used to be a stages/knob conflict is now an unknown field."""
+    for kwargs in (dict(stages=("guard",), guarded=False),
+                   dict(stages=("randomized",), randomized=False),
+                   dict(stages="guard")):
+        _assert_unknown_field(kwargs)
 
 
-def test_config_stage_names_in_sync():
-    from repro.backends.registry import STAGE_ORDER, _check_stage_names_in_sync
-    from repro.core.config import STAGE_NAMES
-
-    assert tuple(STAGE_NAMES) == tuple(STAGE_ORDER)
-    _check_stage_names_in_sync()
+@pytest.mark.parametrize("knobs, layers", [
+    (dict(randomized=True), "randomized+trace"),
+    (dict(guarded=True, randomized=True), "guard+randomized+trace"),
+    (dict(guarded=True), None),
+])
+def test_traced_call_emits_one_backend_stack_span(operands, knobs, layers):
+    """A traced randomized call opens exactly one ``backend-stack``
+    span; a guarded-only call opens none (its ``apa_matmul`` span
+    already covers the call)."""
+    A, B = operands
+    tracer = Tracer()
+    with use_tracer(tracer):
+        ExecutionEngine().matmul(A, B, algorithm="strassen222", **knobs)
+    spans = [s for s in tracer.spans if s.name == "backend-stack"]
+    assert [s.name for s in tracer.spans].count("apa_matmul") == 1
+    if layers is None:
+        assert spans == []
+        return
+    assert len(spans) == 1
+    assert spans[0].cat == "backends"
+    assert spans[0].args == {"stages": layers, "target": "apa:strassen222",
+                             "shape": "(48, 48)@(48, 48)"}
 
 
 # ----------------------------------------------------------------------
-# the randomized stage
+# the randomized layer
 # ----------------------------------------------------------------------
 
 
@@ -253,29 +279,46 @@ def test_guarded_backend_identity_and_reuse(operands):
         ExecutionEngine().matmul(A, B, algorithm="strassen222"))
 
 
-def test_stack_plan_key_distinguishes_configs():
-    cfg_a = ExecutionConfig(algorithm="strassen222", randomized=True,
-                            rand_seed=1)
-    cfg_b = ExecutionConfig(algorithm="strassen222", randomized=True,
-                            rand_seed=2)
-    k_a = BackendStack.from_config(cfg_a).plan_key()
-    k_b = BackendStack.from_config(cfg_b).plan_key()
-    assert k_a != k_b
-    assert k_a[:1] == ("randomized",)
+def test_stack_plan_key_distinguishes_configs(operands):
+    """The engine caches one stack per ``rand_seed``: distinct seeds
+    never share a draw stream, equal seeds always do."""
+    A, B = operands
+    engine = ExecutionEngine()
+    kwargs = dict(algorithm="strassen222", randomized=True)
+    s1 = engine.backend(rand_seed=1, **kwargs)
+    s2 = engine.backend(rand_seed=2, **kwargs)
+    assert s1 is not s2
+    assert engine.backend(rand_seed=1, **kwargs) is s1
+    assert not np.array_equal(s1.matmul(A, B), s2.matmul(A, B))
+    assert (s1.draws, s2.draws) == (1, 1)
 
 
 def test_stack_error_bound_folds_through():
     cfg = ExecutionConfig(algorithm="strassen222", guarded=True,
                           randomized=True)
     stack = BackendStack.from_config(cfg)
-    # guard/randomized/trace all declare "no effect on the bound"
+    # the guard enforces the bound and the signed permutation is exact
     assert stack.error_bound(1.25e-7) == 1.25e-7
-    from repro.robustness.inject import FaultSpec
-    from repro.backends.stages import InjectStage
+    faulty = BackendStack.from_config(cfg.replace(
+        fault=FaultSpec(kind="perturb", magnitude=1e-3)))
+    assert faulty.error_bound(1e-7) == pytest.approx(1e-3 + 1e-7)
 
-    stage = InjectStage(FaultSpec(kind="perturb", magnitude=1e-3))
-    assert stage.error_bound(1e-7) == pytest.approx(1e-3 + 1e-7)
-    assert InjectStage(FaultSpec(kind="nan")).error_bound(1e-7) == float("inf")
+
+@pytest.mark.parametrize("kind, bound", [
+    ("nan", float("inf")),
+    ("inf", float("inf")),
+    ("raise", float("inf")),
+    ("perturb", 1e-3 + 2.0 ** -23),
+    ("stall", 2.0 ** -23),
+])
+def test_stack_error_bound_counts_the_fault(kind, bound):
+    """``error_bound()`` with no argument states the bound a caller may
+    assume, so an injected fault must show in it."""
+    cfg = ExecutionConfig(algorithm="strassen222", guarded=True)
+    assert BackendStack.from_config(cfg).error_bound() == 2.0 ** -23
+    spec = FaultSpec(kind=kind, magnitude=1e-3, stall_seconds=0.0)
+    stack = BackendStack.from_config(cfg.replace(fault=spec))
+    assert stack.error_bound() == pytest.approx(bound)
 
 
 # ----------------------------------------------------------------------
@@ -336,20 +379,26 @@ def test_sandwich_preserves_exactness_and_rank():
 
 
 # ----------------------------------------------------------------------
-# legacy shims stay honest
+# re-exports and the fault seam
 # ----------------------------------------------------------------------
 
 
 def test_legacy_wrappers_are_reexports():
-    from repro.backends.guard import GuardedBackend as new_guard
-    from repro.robustness.guard import GuardedBackend as old_guard
+    """``repro.robustness`` re-exports the guard; the second import path
+    (``repro.robustness.guard``) is gone."""
+    import importlib.util
 
-    assert old_guard is new_guard
+    from repro.backends.guard import GuardedBackend as new_guard
+    from repro.robustness import GuardedBackend as package_guard
+
+    assert package_guard is new_guard
+    assert importlib.util.find_spec("repro.robustness.guard") is None
 
 
 def test_faulty_backend_routes_through_inject_stage(operands):
-    from repro.core.engine import default_engine
-    from repro.robustness.inject import FaultSpec, GemmFaultInjector
+    """``fault=`` wraps the terminal backend's gemm in one persistent
+    :class:`GemmFaultInjector`."""
+    from repro.robustness.inject import GemmFaultInjector
 
     A, B = operands
     fb = default_engine().backend(

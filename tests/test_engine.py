@@ -24,7 +24,7 @@ from repro.core.config import ExecutionConfig, execution_context
 from repro.core.engine import ExecutionEngine, default_engine
 from repro.core.plan import PlanCache
 from repro.parallel.executor import ExecutionReport
-from repro.robustness.guard import GuardedBackend
+from repro.backends.guard import GuardedBackend
 from repro.robustness.inject import FaultSpec, faulty_gemm
 from tests._reference_bilinear import reference_matmul
 

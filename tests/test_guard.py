@@ -10,7 +10,7 @@ from repro.algorithms.catalog import get_algorithm
 from repro.core.backend import ClassicalBackend
 from repro.core.engine import EngineBackend, default_engine
 from repro.core.lam import optimal_lambda
-from repro.robustness.guard import GuardedBackend, check_product, residual_probe
+from repro.backends.guard import GuardedBackend, check_product, residual_probe
 from repro.robustness.inject import FaultSpec, GemmFaultInjector
 from repro.robustness.policy import CircuitBreaker, EscalationPolicy, shape_class
 

@@ -15,7 +15,7 @@ from repro.core.plan import (
 from repro.parallel.executor import ExecutionReport
 from repro.parallel.pool import get_pool, pool_stats, shutdown_pool
 from repro.robustness.events import EventLog
-from repro.robustness.guard import GuardedBackend
+from repro.backends.guard import GuardedBackend
 from tests._reference_bilinear import reference_matmul
 
 ENGINE = default_engine()

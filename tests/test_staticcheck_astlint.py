@@ -321,7 +321,7 @@ def test_repo_engine_boundary_is_clean():
 
 def test_wrapper_construction_flagged():
     source = """
-from repro.robustness.guard import GuardedBackend
+from repro.backends.guard import GuardedBackend
 
 def build(inner):
     return GuardedBackend(inner)
@@ -335,7 +335,7 @@ def build(inner):
 
 def test_wrapper_attribute_construction_flagged():
     source = """
-import repro.robustness.guard as guard
+import repro.backends.guard as guard
 
 def build(inner):
     return guard.GuardedBackend(inner)
@@ -353,20 +353,20 @@ def test_wrapper_construction_inside_backends_exempt():
     source = ("from repro.backends.guard import GuardedBackend\n"
               "backend = GuardedBackend(None)\n")
     assert lint_wrapper_construction(
-        source, "src/repro/backends/stages.py") == []
+        source, "src/repro/backends/stack.py") == []
 
 
 def test_wrapper_import_alone_not_flagged():
     # Importing (e.g. for isinstance checks or annotations) is fine;
     # only *constructing* bypasses the stack.
-    source = ("from repro.robustness.guard import GuardedBackend\n"
+    source = ("from repro.backends.guard import GuardedBackend\n"
               "def check(b):\n"
               "    return isinstance(b, GuardedBackend)\n")
     assert lint_wrapper_construction(source, "src/repro/serve/server.py") == []
 
 
 def test_wrapper_inline_suppression():
-    source = ("from repro.robustness.guard import GuardedBackend\n"
+    source = ("from repro.backends.guard import GuardedBackend\n"
               "b = GuardedBackend(None)"
               "  # lint: ignore[ENG002]: test fixture\n")
     assert lint_wrapper_construction(source, "src/repro/obs/demo.py") == []
